@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	evaserve [-addr :8080] [-cache 128] [-workers 0] [-batches 0] [-demo]
+//	evaserve [-addr :8080] [-cache 128] [-workers 0] [-demo]
 //	         [-ring-workers 0] [-hoist-rotations]
 //	         [-job-workers 2] [-job-queue 64] [-job-memory-mb 8192] [-result-ttl 2m]
 //	         [-coalesce-max 64] [-coalesce-wait 25ms]
@@ -137,11 +137,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 		workers   = fs.Int("workers", 0, "default executor workers per batch (0 = GOMAXPROCS)")
 		ringW     = fs.Int("ring-workers", 0, "RNS-limb worker pool shared by all executions (0 = GOMAXPROCS)")
 		hoist     = fs.Bool("hoist-rotations", true, "batch shared-source rotations behind one hoisted decomposition")
-		batches   = fs.Int("batches", 0, "max concurrent batches per request (0 = GOMAXPROCS)")
 		contexts  = fs.Int("contexts", 256, "max retained execution contexts (LRU)")
 		demo      = fs.Bool("demo", false, "enable server-side keygen (trusted demo mode)")
-		jobW      = fs.Int("job-workers", 0, "async jobs executed concurrently (0 = 2)")
-		jobQueue  = fs.Int("job-queue", 0, "async job queue depth (0 = 64)")
+		jobW      = fs.Int("job-workers", 0, "jobs executed concurrently, synchronous /execute included (0 = 2)")
+		jobQueue  = fs.Int("job-queue", 0, "job queue depth (0 = 64)")
 		jobMemMB  = fs.Int64("job-memory-mb", 0, "admitted-jobs ciphertext memory budget in MiB (0 = 8192)")
 		resultTTL = fs.Duration("result-ttl", 0, "retention of finished jobs and unfetched results (0 = 2m)")
 		coalMax   = fs.Int("coalesce-max", 0, "max callers packed into one coalesced batch (0 = 64)")
@@ -222,7 +221,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 	srv := serve.NewServer(serve.Config{
 		CacheCapacity:        *cache,
 		DefaultWorkers:       *workers,
-		MaxConcurrentBatches: *batches,
 		MaxContexts:          *contexts,
 		AllowServerKeygen:    *demo,
 		RingWorkers:          *ringW,

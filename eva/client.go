@@ -326,46 +326,14 @@ func (c *Client) NewKeygenContext(ctx context.Context, programID string, seed ui
 	return out, err
 }
 
-// Execute runs batches synchronously (POST /execute/{id}).
+// Execute runs batches synchronously (POST /execute/{id}). The server admits
+// the request like a job, so under load the returned error may be an
+// *APIError with Overloaded() == true (retry after its RetryAfter hint) or,
+// while the server drains, Unavailable() == true.
 func (c *Client) Execute(ctx context.Context, programID string, req ExecuteRequest) (ExecuteResponse, error) {
 	var out ExecuteResponse
 	err := c.do(ctx, http.MethodPost, "/execute/"+programID, req, &out)
 	return out, err
-}
-
-// SubmitJob enqueues an asynchronous execution (POST /jobs) and returns
-// immediately with the job's id. When the server sheds the submission the
-// returned error is an *APIError with Overloaded() == true; retry after its
-// RetryAfter hint.
-//
-// Deprecated: use Submit, which consolidates the per-variant submission
-// knobs (output mode, coalescing, trace adoption) into SubmitOptions. This
-// wrapper is equivalent to Submit with the options already inlined in req.
-func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (JobStatusInfo, error) {
-	res, err := c.Submit(ctx, req.ProgramID, req.ContextID, req.Batches, SubmitOptions{
-		Workers:   req.Workers,
-		Scheduler: req.Scheduler,
-		Output:    req.Output,
-	})
-	return res.Job, err
-}
-
-// SubmitCoalesced submits a single-batch job to the server's request
-// coalescer (POST /jobs?coalesce=1); see SubmitOptions.Coalesce for the
-// semantics and compatibility rules.
-//
-// Deprecated: use Submit with SubmitOptions{Coalesce: true}.
-func (c *Client) SubmitCoalesced(ctx context.Context, req JobRequest) (CoalesceResponse, error) {
-	res, err := c.Submit(ctx, req.ProgramID, req.ContextID, req.Batches, SubmitOptions{
-		Workers:   req.Workers,
-		Scheduler: req.Scheduler,
-		Output:    req.Output,
-		Coalesce:  true,
-	})
-	if err != nil {
-		return CoalesceResponse{}, err
-	}
-	return *res.Coalesced, nil
 }
 
 // JobStatus polls a job (GET /jobs/{id}).
@@ -463,39 +431,29 @@ func (c *Client) StreamJobEvents(ctx context.Context, jobID string, fn func(JobE
 }
 
 // WaitJob blocks until the job reaches a terminal status, preferring the
-// event stream and falling back to polling if streaming fails.
+// event stream and confirming by polling.
 func (c *Client) WaitJob(ctx context.Context, jobID string) (JobStatusInfo, error) {
-	var terminal bool
-	err := c.StreamJobEvents(ctx, jobID, func(ev JobEvent) error {
-		switch ev.Type {
-		case "done", "failed", "cancelled":
-			terminal = true
-		}
-		return nil
-	})
-	if err == nil && !terminal {
-		err = errors.New("eva: event stream ended before the job finished")
-	}
+	err := c.StreamJobEvents(ctx, jobID, func(JobEvent) error { return nil })
 	if err != nil && ctx.Err() != nil {
 		return JobStatusInfo{}, ctx.Err()
 	}
-	if err != nil {
-		// Fall back to polling: the stream may have been cut by a proxy.
-		for {
-			st, perr := c.JobStatus(ctx, jobID)
-			if perr != nil {
-				return st, perr
-			}
-			switch st.Status {
-			case string(jobs.StatusDone), string(jobs.StatusFailed), string(jobs.StatusCancelled):
-				return st, nil
-			}
-			select {
-			case <-ctx.Done():
-				return st, ctx.Err()
-			case <-time.After(50 * time.Millisecond):
-			}
+	// Poll until the status is terminal. Normally the first poll is: the
+	// stream ends with the terminal event. It is not when a proxy cut the
+	// stream, or when a cluster requeued the job onto a replica after the
+	// stream's node died.
+	for {
+		st, err := c.JobStatus(ctx, jobID)
+		if err != nil {
+			return st, err
+		}
+		switch st.Status {
+		case string(jobs.StatusDone), string(jobs.StatusFailed), string(jobs.StatusCancelled):
+			return st, nil
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	return c.JobStatus(ctx, jobID)
 }

@@ -212,38 +212,3 @@ output out @30;`,
 		}
 	}
 }
-
-// TestClientDeprecatedSubmitWrappers pins the backward-compatible wrappers to
-// the consolidated Submit path: a JobRequest submitted through SubmitJob
-// still runs.
-func TestClientDeprecatedSubmitWrappers(t *testing.T) {
-	c := startDemoServer(t, serve.Config{})
-	ctx := context.Background()
-	comp, err := c.Compile(ctx, eva.CompileRequest{
-		Source:  clientProgramSource(),
-		Options: &serve.CompileOptionsJSON{AllowInsecure: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ectx, err := c.NewKeygenContext(ctx, comp.ID, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the deprecated wrapper is exactly what this test pins
-	job, err := c.SubmitJob(ctx, eva.JobRequest{
-		ProgramID: comp.ID,
-		ContextID: ectx.ContextID,
-		Batches:   []eva.ExecuteBatch{{Values: map[string][]float64{"x": {3, 3, 3, 3, 3, 3, 3, 3}}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.WaitJob(ctx, job.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != "done" {
-		t.Fatalf("final status %+v", final)
-	}
-}

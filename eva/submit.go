@@ -9,10 +9,6 @@ import (
 // jobs API into one struct: executor parallelism, the result form, request
 // coalescing, and distributed-trace adoption. The zero value submits an
 // ordinary asynchronous job with the server's defaults.
-//
-// Submit replaces the accreted per-variant entry points (SubmitJob,
-// SubmitCoalesced) and the option fields inlined in JobRequest; those remain
-// as deprecated wrappers.
 type SubmitOptions struct {
 	// Workers overrides the executor worker count for this job (0 = the
 	// server's default; the server clamps excessive values).

@@ -287,20 +287,17 @@ func TestClusterOwnerKilledMidJob(t *testing.T) {
 	t.Logf("context %s: owner %s, replicas %v, router %s", contextID, owner.id, candidates[1:], router.id)
 
 	const jobCount = 6
-	req := eva.JobRequest{ProgramID: programID, ContextID: contextID}
-	for b := 0; b < 4; b++ {
-		req.Batches = append(req.Batches, clusterBatch)
-	}
+	batches := []serve.ExecuteBatch{clusterBatch, clusterBatch, clusterBatch, clusterBatch}
 	jobIDs := make([]string, jobCount)
 	for i := range jobIDs {
-		st, err := router.client.SubmitJob(ctx, req)
+		sub, err := router.client.Submit(ctx, programID, contextID, batches, eva.SubmitOptions{})
 		if err != nil {
 			t.Fatalf("submit %d via %s: %v", i, router.id, err)
 		}
-		if !strings.Contains(st.JobID, "~") {
-			t.Fatalf("job id %q is not cluster-routed", st.JobID)
+		if !strings.Contains(sub.Job.JobID, "~") {
+			t.Fatalf("job id %q is not cluster-routed", sub.Job.JobID)
 		}
-		jobIDs[i] = st.JobID
+		jobIDs[i] = sub.Job.JobID
 	}
 
 	// Kill the owner while the queue drains.
@@ -329,8 +326,8 @@ func TestClusterOwnerKilledMidJob(t *testing.T) {
 			}
 			t.Fatalf("fetch job %d (%s): %v", i, id, err)
 		}
-		if len(res.Results) != len(req.Batches) {
-			t.Fatalf("job %d: %d results, want %d", i, len(res.Results), len(req.Batches))
+		if len(res.Results) != len(batches) {
+			t.Fatalf("job %d: %d results, want %d", i, len(res.Results), len(batches))
 		}
 		for bi, br := range res.Results {
 			if br.Error != "" {
@@ -429,10 +426,10 @@ output out2 @30;`)
 			break
 		}
 	}
-	st, err := router.client.SubmitJob(ctx, eva.JobRequest{
-		ProgramID: p1, ContextID: c1, Output: "handle",
-		Batches: []serve.ExecuteBatch{{Values: map[string][]float64{"x": xs, "y": ys}}},
-	})
+	sub, err := router.client.Submit(ctx, p1, c1,
+		[]serve.ExecuteBatch{{Values: map[string][]float64{"x": xs, "y": ys}}},
+		eva.SubmitOptions{Output: "handle"})
+	st := sub.Job
 	if err != nil {
 		t.Fatalf("submit stage-1 job via %s: %v", router.id, err)
 	}
@@ -492,10 +489,10 @@ output out2 @30;`)
 			break
 		}
 	}
-	st2, err := via.client.SubmitJob(ctx, eva.JobRequest{
-		ProgramID: p2, ContextID: c2, Output: "values",
-		Batches: []serve.ExecuteBatch{{Handles: map[string]string{"z": handleID}}},
-	})
+	sub2, err := via.client.Submit(ctx, p2, c2,
+		[]serve.ExecuteBatch{{Handles: map[string]string{"z": handleID}}},
+		eva.SubmitOptions{Output: "values"})
+	st2 := sub2.Job
 	if err != nil {
 		t.Fatalf("submit handle-input job via %s: %v", via.id, err)
 	}
@@ -629,15 +626,14 @@ func TestClusterProbeRequeuesProactively(t *testing.T) {
 		}
 	}
 
-	req := eva.JobRequest{ProgramID: programID, ContextID: contextID,
-		Batches: []serve.ExecuteBatch{clusterBatch, clusterBatch, clusterBatch, clusterBatch}}
+	batches := []serve.ExecuteBatch{clusterBatch, clusterBatch, clusterBatch, clusterBatch}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := router.client.SubmitJob(ctx, req)
+		sub, err := router.client.Submit(ctx, programID, contextID, batches, eva.SubmitOptions{})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
-		ids = append(ids, st.JobID)
+		ids = append(ids, sub.Job.JobID)
 	}
 	owner.kill()
 

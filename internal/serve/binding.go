@@ -56,12 +56,12 @@ type bindingResolver struct {
 	s        *Server
 	ce       *contextEntry
 	res      *compile.Result
-	cache    *handleCache
+	cache    handleCache
 	required map[string]int
 	fpr      string
 }
 
-func (s *Server) newBindingResolver(ce *contextEntry, res *compile.Result, cache *handleCache) *bindingResolver {
+func (s *Server) newBindingResolver(ce *contextEntry, res *compile.Result, cache handleCache) *bindingResolver {
 	return &bindingResolver{s: s, ce: ce, res: res, cache: cache}
 }
 

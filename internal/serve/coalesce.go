@@ -10,8 +10,6 @@ import (
 
 	"eva/internal/coalesce"
 	"eva/internal/core"
-	"eva/internal/execute"
-	"eva/internal/jobs"
 	"eva/internal/obs"
 )
 
@@ -63,6 +61,14 @@ func coalesceRequested(r *http.Request) bool {
 // here, before it joins a batch, so one malformed caller can never poison
 // co-batched peers.
 func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, req *JobRequest) {
+	if len(req.Batches) == 1 && (len(req.Batches[0].Cipher) > 0 || len(req.Batches[0].Handles) > 0) {
+		// Ciphertext-carrying submissions (uploads or stored handles) occupy
+		// the full slot vector, so they cannot share a packed execution with
+		// other callers; run them as a batch of one so the coalesce surface
+		// still accepts every input form.
+		s.runUncoalesced(w, r, req)
+		return
+	}
 	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
 	if err != nil {
 		writeError(w, status, "%v", err)
@@ -77,14 +83,6 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 		return
 	}
 	batch := &req.Batches[0]
-	if len(batch.Cipher) > 0 || len(batch.Handles) > 0 {
-		// Ciphertext-carrying submissions (uploads or stored handles) occupy
-		// the full slot vector, so they cannot share a packed execution with
-		// other callers; run them as a batch of one so the coalesce surface
-		// still accepts every input form.
-		s.runUncoalesced(w, r, req, entry, ce)
-		return
-	}
 	if req.Output == outputHandle {
 		writeError(w, http.StatusBadRequest, "coalesced callers receive their demuxed slices; \"output\": \"handle\" would store the shared ciphertext — POST /jobs without coalesce=1 instead")
 		return
@@ -166,32 +164,34 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 
 // runUncoalesced serves a coalesce=1 submission that cannot be packed (it
 // carries a full-width ciphertext: an upload or a handle reference) as a
-// synchronous batch of one. Input resolution failures keep their structured
-// statuses (422 chaining, 404 unknown handle); the run itself reports errors
-// in the result body like /execute does.
-func (s *Server) runUncoalesced(w http.ResponseWriter, r *http.Request, req *JobRequest, entry *Entry, ce *contextEntry) {
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
+// batch of one, run as its own job and awaited. Input resolution failures
+// keep their structured statuses (422 chaining, 404 unknown handle); the run
+// itself reports errors in the result body like /execute does.
+func (s *Server) runUncoalesced(w http.ResponseWriter, r *http.Request, req *JobRequest) {
+	p, status, err := s.planExecution(r.Context(), req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, status, "%v", err)
 		return
 	}
-	batch := &req.Batches[0]
-	cache := newHandleCache()
-	enc, err := s.buildBatchInputs(r.Context(), ce, entry.Result, batch, nil, cache, false)
-	if err != nil {
-		s.writeInputError(w, err)
+	if p.errs[0] != nil {
+		s.writeInputError(w, p.errs[0])
 		return
 	}
 	start := time.Now()
-	result := s.runBatch(r.Context(), entry, ce, batch, enc, ropts, req.Output, cache)
+	results := make([]BatchResult, 1)
+	if !s.runAndWait(w, r, 1, p.estimate(), func(jctx context.Context, batchDone func(int)) error {
+		return s.runPlan(jctx, p, results, batchDone)
+	}) {
+		return
+	}
 	writeJSON(w, http.StatusOK, CoalesceResponse{
-		ProgramID:  entry.ID,
-		ContextID:  ce.ID,
+		ProgramID:  p.entry.ID,
+		ContextID:  p.ce.ID,
 		BatchSize:  1,
-		Slot:       coalesce.Range{Start: 0, Width: entry.Result.Program.VecSize},
+		Slot:       coalesce.Range{Start: 0, Width: p.entry.Result.Program.VecSize},
 		Occupancy:  1,
 		WaitMillis: float64(time.Since(start)) / float64(time.Millisecond),
-		Result:     result,
+		Result:     results[0],
 	})
 }
 
@@ -221,7 +221,6 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 	packSpan := bt.StartSpan("coalesce_pack", nil)
 	packSpan.SetAttr("callers", strconv.Itoa(len(reqs)))
 	packed := &ExecuteBatch{Values: map[string][]float64{}, Plain: map[string][]float64{}}
-	pendingValues := 0
 	for _, in := range prog.Inputs() {
 		per := make([][]float64, len(reqs))
 		for j, req := range reqs {
@@ -234,30 +233,25 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 		}
 		if in.InType == core.TypeCipher {
 			packed.Values[in.Name] = vec
-			pendingValues++
 		} else {
 			packed.Plain[in.Name] = vec
 		}
 	}
 	packSpan.End()
 
-	// One admission charge for the whole batch: the packed plain vectors by
-	// their real size, one fresh ciphertext per encrypted input (not per
-	// caller), and the cost model's peak once.
-	est := estimateJobBytes(entry, []*execute.EncryptedInputs{{Plain: packed.Plain}}, pendingValues)
-	ropts, _ := s.runOptions(0, "") // shared runs use the server's defaults
-	id, err := jobs.NewID()
+	// The packed batch is resolved and charged like any other: once for the
+	// whole batch — one fresh ciphertext per encrypted input, not per
+	// caller, and the cost model's peak once.
+	decoded, err := s.buildBatchInputs(context.Background(), ce, entry.Result, packed, nil)
 	if err != nil {
 		b.FailAll(err)
 		return
 	}
-	s.bindJobTrace(id, bt)
-	queueSpan := bt.StartSpan("queue_wait", nil)
-	snap, err := s.jobs.SubmitWithID(id, 1, est, func(jctx context.Context, batchDone func(int)) (any, error) {
-		queueSpan.End()
-		jctx = obs.ContextWithTrace(jctx, bt)
+	est := estimateAdmissionBytes([]admissionUnit{batchUnit(entry.Result, decoded)})
+	ropts, _ := s.runOptions(0, "") // shared runs use the server's defaults
+	snap, err := s.enqueue(obs.ContextWithTrace(context.Background(), bt), 1, est, func(jctx context.Context, batchDone func(int)) (any, error) {
 		start := time.Now()
-		result := s.runBatch(jctx, entry, ce, packed, nil, ropts, "", nil)
+		result, _ := s.runBatch(jctx, entry, ce, packed, decoded, ropts, "")
 		b.Done(time.Since(start))
 		batchDone(0)
 		if result.Error != "" {
@@ -291,11 +285,6 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 		return []BatchResult{{Stats: result.Stats}}, nil
 	})
 	if err != nil {
-		// The job never became visible, so the finish hook will not fire;
-		// drop the binding and its reference.
-		if bound := s.takeJobTrace(id); bound != nil {
-			bound.Release()
-		}
 		b.FailAll(err)
 		return
 	}

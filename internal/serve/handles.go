@@ -9,9 +9,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
-	"sync"
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
@@ -130,29 +130,19 @@ type resolvedHandle struct {
 }
 
 // handleCache shares resolved handles across the batches (and pipeline
-// stages) of one request, so a handle referenced many times is fetched and
-// deserialized once. Safe for the concurrent batch fan-out.
-type handleCache struct {
-	mu sync.Mutex
-	m  map[string]*resolvedHandle
-}
+// stages) of one request while it is resolved at admission, so a handle
+// referenced many times is fetched and deserialized once.
+type handleCache map[string]*resolvedHandle
 
-func newHandleCache() *handleCache {
-	return &handleCache{m: map[string]*resolvedHandle{}}
-}
+func newHandleCache() handleCache { return handleCache{} }
 
 // resolveHandle loads a handle for execution: from the request cache, the
 // local registry, or — when the cluster tier installed a fetcher — a peer
 // node (remote records are re-verified against their content address and
 // cached locally, best effort).
-func (s *Server) resolveHandle(stdctx context.Context, id string, cache *handleCache) (*resolvedHandle, error) {
-	if cache != nil {
-		cache.mu.Lock()
-		rh, ok := cache.m[id]
-		cache.mu.Unlock()
-		if ok {
-			return rh, nil
-		}
+func (s *Server) resolveHandle(stdctx context.Context, id string, cache handleCache) (*resolvedHandle, error) {
+	if rh, ok := cache[id]; ok {
+		return rh, nil
 	}
 	meta, data, err := s.handles.Get(id)
 	if err != nil {
@@ -182,9 +172,7 @@ func (s *Server) resolveHandle(stdctx context.Context, id string, cache *handleC
 	}
 	rh := &resolvedHandle{meta: meta, ct: ct}
 	if cache != nil {
-		cache.mu.Lock()
-		cache.m[id] = rh
-		cache.mu.Unlock()
+		cache[id] = rh
 	}
 	return rh, nil
 }
@@ -265,37 +253,21 @@ func (s *Server) writeInputError(w http.ResponseWriter, err error) {
 	}
 }
 
-// buildBatchInputs resolves one batch's wire inputs into executor inputs:
-// inline base64 ciphertexts are decoded and validated, handle references are
+// buildBatchInputs resolves one batch's wire inputs at admission: inline
+// base64 ciphertexts are decoded and validated, handle references are
 // resolved (locally or from a peer) and checked against the consuming
-// program's compiled level/scale/width requirements, plain inputs are
-// replicated, and — on demo contexts — plaintext values for Cipher inputs
-// are encrypted. pre may carry inputs resolved earlier (the jobs admission
-// path, or a pipeline stage's upstream outputs); they are taken as-is. When
-// deferValues is true, plaintext Cipher values are left for the caller (the
-// job worker encrypts them later) instead of being encrypted now.
-func (s *Server) buildBatchInputs(stdctx context.Context, ce *contextEntry, res *compile.Result, batch *ExecuteBatch, pre *execute.EncryptedInputs, cache *handleCache, deferValues bool) (*execute.EncryptedInputs, error) {
+// program's compiled level/scale/width requirements, and plain inputs are
+// replicated. Demo-mode plaintext values for Cipher inputs are only checked:
+// the job worker encrypts them when the batch runs (completeInputs).
+func (s *Server) buildBatchInputs(stdctx context.Context, ce *contextEntry, res *compile.Result, batch *ExecuteBatch, cache handleCache) (*execute.EncryptedInputs, error) {
 	enc := &execute.EncryptedInputs{
 		Cipher: map[string]*ckks.Ciphertext{},
 		Plain:  map[string][]float64{},
 	}
-	if pre != nil {
-		for k, v := range pre.Cipher {
-			enc.Cipher[k] = v
-		}
-		for k, v := range pre.Plain {
-			enc.Plain[k] = v
-		}
-		enc.EncryptTime = pre.EncryptTime
-	}
-	var pending execute.Inputs
 	br := s.newBindingResolver(ce, res, cache)
 	for _, in := range res.Program.Inputs() {
 		b := batch.binding(in.Name)
 		if in.InType != core.TypeCipher {
-			if _, ok := enc.Plain[in.Name]; ok {
-				continue
-			}
 			full, ok, err := br.plain(in.Name, b)
 			if !ok {
 				return nil, fmt.Errorf("missing value for plain input %q", in.Name)
@@ -304,9 +276,6 @@ func (s *Server) buildBatchInputs(stdctx context.Context, ce *contextEntry, res 
 				return nil, err
 			}
 			enc.Plain[in.Name] = full
-			continue
-		}
-		if _, ok := enc.Cipher[in.Name]; ok {
 			continue
 		}
 		switch {
@@ -330,27 +299,33 @@ func (s *Server) buildBatchInputs(stdctx context.Context, ce *contextEntry, res 
 			if ce.Keys == nil {
 				return nil, fmt.Errorf("plaintext \"values\" need a server-keygen (demo) context; this context has no keys")
 			}
-			if deferValues {
-				continue
-			}
-			if pending == nil {
-				pending = execute.Inputs{}
-			}
-			pending[in.Name] = b.Values
 		default:
 			return nil, fmt.Errorf("missing ciphertext for input %q (supply \"cipher\", \"handles\", or demo \"values\")", in.Name)
 		}
 	}
-	if len(pending) > 0 {
-		cts, d, err := execute.EncryptSelected(ce.Ctx, res, ce.Keys, pending, nil)
-		if err != nil {
-			return nil, fmt.Errorf("encrypting values: %v", err)
+	return enc, nil
+}
+
+// completeInputs returns a batch's full executor inputs inside its job:
+// decoded as resolved at admission, plus the batch's demo-mode values for
+// the Cipher inputs still missing, encrypted now. decoded itself is left
+// untouched.
+func completeInputs(ce *contextEntry, res *compile.Result, batch *ExecuteBatch, decoded *execute.EncryptedInputs) (*execute.EncryptedInputs, error) {
+	pending := execute.Inputs{}
+	for _, in := range res.Program.Inputs() {
+		if _, ok := decoded.Cipher[in.Name]; in.InType == core.TypeCipher && !ok {
+			pending[in.Name] = batch.Values[in.Name]
 		}
-		for name, ct := range cts {
-			enc.Cipher[name] = ct
-		}
-		enc.EncryptTime += d
 	}
+	if len(pending) == 0 {
+		return decoded, nil
+	}
+	cts, d, err := execute.EncryptSelected(ce.Ctx, res, ce.Keys, pending, nil)
+	if err != nil {
+		return nil, fmt.Errorf("encrypting values: %v", err)
+	}
+	enc := &execute.EncryptedInputs{Cipher: maps.Clone(decoded.Cipher), Plain: decoded.Plain, EncryptTime: decoded.EncryptTime + d}
+	maps.Copy(enc.Cipher, cts)
 	return enc, nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"eva/internal/compile"
 	"eva/internal/core"
 	"eva/internal/execute"
-	"eva/internal/handle"
 	"eva/internal/jobs"
 	"eva/internal/obs"
 )
@@ -28,6 +27,11 @@ import (
 // control sheds load with 429 + Retry-After when the queue is full or the
 // estimated resident ciphertext footprint of all admitted jobs would exceed
 // the configured budget.
+//
+// Every execution entry point runs as one such job: /jobs, /pipelines and
+// each sealed coalesced batch through enqueue, and the synchronous /execute
+// and the unpackable coalesce=1 fallback through runAndWait, which enqueues
+// and then waits for the job. So the budget bounds all of them alike.
 
 // JobRequest is the body of POST /jobs — the asynchronous counterpart of
 // ExecuteRequest, plus the program id (which /execute carries in the path).
@@ -88,54 +92,231 @@ func jobStatusJSON(s jobs.Snapshot) JobStatus {
 	return js
 }
 
-// estimateJobBytes predicts the resident footprint of one admitted job: the
-// decoded input ciphertexts it pins while queued (their real MemoryBytes),
-// fresh-ciphertext-sized placeholders for demo-mode plaintext values that the
-// worker will encrypt, and the cost model's static peak for the intermediate
-// values of one running batch (batches run sequentially within a job). A
-// ciphertext shared between batches — a resolved handle referenced by many
-// inputs — pins one allocation and is counted once.
-func estimateJobBytes(entry *Entry, batches []*execute.EncryptedInputs, pendingValues int) int64 {
-	res := entry.Result
-	var est int64
-	seen := map[*ckks.Ciphertext]bool{}
-	for _, in := range batches {
-		if in == nil {
-			continue
-		}
-		for _, ct := range in.Cipher {
-			if seen[ct] {
-				continue
-			}
-			seen[ct] = true
-			est += int64(ct.MemoryBytes())
-		}
-		for _, pv := range in.Plain {
-			est += int64(8 * len(pv))
-		}
-	}
-	n := int64(1) << uint(res.LogN)
-	freshCt := 2 * int64(len(res.Plan.BitSizes)) * n * 8
-	est += int64(pendingValues) * freshCt
-	model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
-	est += model.EstimatePeakMemoryBytes(res.Program)
-	return est
+// admissionUnit is one batch or pipeline stage as admission control sees
+// it: the program it runs, its inputs resolved at submit, and how many
+// demo-mode plaintext values the worker will still encrypt for it.
+type admissionUnit struct {
+	res     *compile.Result
+	in      *execute.EncryptedInputs
+	pending int
 }
 
-// pendingCipherValues counts the Cipher inputs a partially resolved batch
-// still owes the worker (demo-mode plaintext values encrypted at run time),
-// for the fresh-ciphertext placeholders in the admission estimate.
-func pendingCipherValues(res *compile.Result, enc *execute.EncryptedInputs) int {
-	n := 0
-	for _, in := range res.Program.Inputs() {
-		if in.InType != core.TypeCipher {
-			continue
+// estimateAdmissionBytes is the admission estimate of every execution path:
+// the resident footprint of one job. Each distinct input ciphertext the job
+// pins while queued counts once, by pointer — a resolved handle shared by
+// many batches or stages is one allocation. Plain vectors count by their
+// size, every pending demo value by a fresh-ciphertext placeholder, and the
+// intermediates by the cost model's largest static peak across units: units
+// run one after another inside the job, so their peaks never stack.
+func estimateAdmissionBytes(units []admissionUnit) int64 {
+	var est, peak int64
+	seen := map[*ckks.Ciphertext]bool{}
+	peaks := map[*compile.Result]bool{}
+	for _, u := range units {
+		for _, ct := range u.in.Cipher {
+			if !seen[ct] {
+				seen[ct] = true
+				est += int64(ct.MemoryBytes())
+			}
 		}
-		if _, ok := enc.Cipher[in.Name]; !ok {
-			n++
+		for _, pv := range u.in.Plain {
+			est += int64(8 * len(pv))
+		}
+		res := u.res
+		freshCt := 2 * int64(len(res.Plan.BitSizes)) * (int64(1) << uint(res.LogN)) * 8
+		est += int64(u.pending) * freshCt
+		if !peaks[res] {
+			peaks[res] = true
+			model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
+			peak = max(peak, model.EstimatePeakMemoryBytes(res.Program))
 		}
 	}
-	return n
+	return est + peak
+}
+
+// batchUnit is the admission unit of a batch resolved by buildBatchInputs:
+// every Cipher input it has no ciphertext for is a demo value the worker
+// still encrypts.
+func batchUnit(res *compile.Result, in *execute.EncryptedInputs) admissionUnit {
+	u := admissionUnit{res: res, in: in}
+	for _, t := range res.Program.Inputs() {
+		if _, ok := in.Cipher[t.Name]; t.InType == core.TypeCipher && !ok {
+			u.pending++
+		}
+	}
+	return u
+}
+
+// execPlan is a batch request (/execute, /jobs, or a coalesce=1 submission
+// that cannot be packed) resolved at admission.
+type execPlan struct {
+	entry   *Entry
+	ce      *contextEntry
+	batches []ExecuteBatch
+	// decoded holds each batch's inputs resolved at submit; errs the
+	// resolution failure of a batch that cannot run.
+	decoded []*execute.EncryptedInputs
+	errs    []error
+	ropts   execute.RunOptions
+	output  string
+}
+
+// planExecution validates a batch request and resolves every batch's
+// inputs: inline ciphertexts are decoded and validated and handles resolved
+// and checked, while demo-mode plaintext values are only counted — the
+// worker encrypts them when the batch runs. Request-level problems return
+// an HTTP status and error. A batch whose inputs do not resolve keeps its
+// error in errs: /jobs rejects the submission over it, /execute reports it
+// in that batch's result.
+func (s *Server) planExecution(stdctx context.Context, req *JobRequest) (*execPlan, int, error) {
+	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
+	if err != nil {
+		return nil, status, err
+	}
+	if len(req.Batches) == 0 {
+		return nil, http.StatusBadRequest, errors.New("no batches")
+	}
+	if len(req.Batches) > maxBatchesPerRequest {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
+	}
+	ropts, err := s.runOptions(req.Workers, req.Scheduler)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if err := validOutputMode(req.Output); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	p := &execPlan{
+		entry:   entry,
+		ce:      ce,
+		batches: req.Batches,
+		decoded: make([]*execute.EncryptedInputs, len(req.Batches)),
+		errs:    make([]error, len(req.Batches)),
+		ropts:   ropts,
+		output:  req.Output,
+	}
+	// One handle cache for all batches: a handle referenced by many batches
+	// is resolved once, and counted once by the estimate.
+	cache := newHandleCache()
+	for i := range p.batches {
+		p.decoded[i], p.errs[i] = s.buildBatchInputs(stdctx, ce, entry.Result, &p.batches[i], cache)
+	}
+	return p, http.StatusOK, nil
+}
+
+// estimate is the plan's admission charge over its runnable batches.
+func (p *execPlan) estimate() int64 {
+	var units []admissionUnit
+	for i, in := range p.decoded {
+		if p.errs[i] == nil {
+			units = append(units, batchUnit(p.entry.Result, in))
+		}
+	}
+	return estimateAdmissionBytes(units)
+}
+
+// runPlan executes the plan's batches in order inside its job, filling results;
+// a batch that failed resolution gets its error as its result.
+func (s *Server) runPlan(jctx context.Context, p *execPlan, results []BatchResult, batchDone func(int)) error {
+	for i := range p.batches {
+		if err := jctx.Err(); err != nil {
+			return err
+		}
+		if p.errs[i] != nil {
+			s.metrics.RecordExecutionError()
+			results[i] = batchError("%v", p.errs[i])
+		} else {
+			results[i], _ = s.runBatch(jctx, p.entry, p.ce, &p.batches[i], p.decoded[i], p.ropts, p.output)
+			p.decoded[i] = nil // release the pinned inputs as batches complete
+		}
+		batchDone(i)
+	}
+	return nil
+}
+
+// enqueue is the one submission path of every execution entry point. It
+// mints the job id, binds the trace carried by ctx to it, records the
+// admission and queue_wait spans under ctx's current span, and submits run
+// with the admission estimate; run's context carries the same trace and
+// parent span. When admission rejects the job the trace binding is dropped
+// and the error returned.
+func (s *Server) enqueue(ctx context.Context, batches int, est int64, run jobs.RunFunc) (jobs.Snapshot, error) {
+	id, err := jobs.NewID()
+	if err != nil {
+		return jobs.Snapshot{}, err
+	}
+	t := obs.TraceFromContext(ctx)
+	parent := obs.SpanFromContext(ctx)
+	// Bind before submitting: the manager makes a job visible — and
+	// finishable — before SubmitWithID returns, so binding afterwards would
+	// race the finish hook.
+	s.bindJobTrace(id, t)
+	admit := t.StartSpan("admission", parent)
+	queueSpan := t.StartSpan("queue_wait", parent)
+	snap, err := s.jobs.SubmitWithID(id, batches, est, func(jctx context.Context, batchDone func(int)) (any, error) {
+		queueSpan.End()
+		return run(obs.ContextWithSpan(obs.ContextWithTrace(jctx, t), parent), batchDone)
+	})
+	admit.End()
+	if err != nil {
+		queueSpan.End()
+		// The job never became visible; the finish hook will not fire, so
+		// drop the binding and its reference here.
+		if bound := s.takeJobTrace(id); bound != nil {
+			bound.Release()
+		}
+		return jobs.Snapshot{}, err
+	}
+	s.log.Debug("job submitted",
+		slog.String(obs.LogJobID, id),
+		slog.String(obs.LogTraceID, t.ID()),
+		slog.Int("batches", batches),
+		slog.Int64("est_bytes", est))
+	return snap, nil
+}
+
+// runAndWait is the synchronous face of the job path: it enqueues run as one
+// admission-controlled job and blocks until the job's terminal event, so the
+// results come back through run's closure and the job itself retains
+// nothing. It reports whether the job finished and the caller should write
+// its response; otherwise the error response is already written. A client
+// that disconnects cancels the job and gets no answer.
+func (s *Server) runAndWait(w http.ResponseWriter, r *http.Request, batches int, est int64, run func(context.Context, func(int)) error) bool {
+	snap, err := s.enqueue(r.Context(), batches, est, func(jctx context.Context, batchDone func(int)) (any, error) {
+		return nil, run(jctx, batchDone)
+	})
+	if err != nil {
+		s.writeAdmissionError(w, err)
+		return false
+	}
+	history, ch, unsubscribe, ok := s.jobs.Subscribe(snap.ID)
+	if !ok {
+		writeError(w, http.StatusInternalServerError, "job %s was evicted before it could be awaited", snap.ID)
+		return false
+	}
+	defer unsubscribe()
+	final := history[len(history)-1]
+	for open := true; open; {
+		select {
+		case <-r.Context().Done():
+			s.jobs.Cancel(snap.ID)
+			return false
+		case e, more := <-ch:
+			if more {
+				final = e
+			}
+			open = more
+		}
+	}
+	switch jobs.Status(final.Type) {
+	case jobs.StatusDone:
+		return true
+	case jobs.StatusCancelled:
+		writeError(w, http.StatusServiceUnavailable, "job %s cancelled: %s", snap.ID, final.Error)
+	default:
+		writeError(w, http.StatusInternalServerError, "job %s failed: %s", snap.ID, final.Error)
+	}
+	return false
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -148,113 +329,33 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.handleCoalescedSubmit(w, r, &req)
 		return
 	}
-	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
+	p, status, err := s.planExecution(r.Context(), &req)
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if len(req.Batches) == 0 {
-		writeError(w, http.StatusBadRequest, "no batches")
-		return
-	}
-	if len(req.Batches) > maxBatchesPerRequest {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
-		return
-	}
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := validOutputMode(req.Output); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// Resolve and validate every batch now: submissions fail fast (400 for
-	// malformed inputs, structured 422 for incompatible handle chaining, 404
-	// for unknown handles), and the resolved ciphertexts are what admission
-	// control accounts for. Demo-mode plaintext values are only counted here;
-	// the worker encrypts them when the batch runs. The handle cache is
-	// shared across batches and kept for the workers, so a handle referenced
-	// by many batches is resolved once and counted once.
-	res := entry.Result
-	cache := newHandleCache()
-	decoded := make([]*execute.EncryptedInputs, len(req.Batches))
-	pendingValues := 0
-	for i := range req.Batches {
-		batch := &req.Batches[i]
-		enc, err := s.buildBatchInputs(r.Context(), ce, res, batch, nil, cache, true)
+	// Submissions fail fast: 400 for malformed inputs, structured 422 for
+	// incompatible handle chaining, 404 for unknown handles.
+	for i, err := range p.errs {
 		if err != nil {
-			var cerr *compatError
-			if errors.As(err, &cerr) {
-				inc := cerr.incompat()
-				writeJSON(w, http.StatusUnprocessableEntity, apiError{
-					Error:             fmt.Sprintf("batch %d: %v", i, err),
-					Incompatibilities: []Incompat{inc},
-				})
-				return
-			}
-			if errors.Is(err, handle.ErrNotFound) {
-				writeError(w, http.StatusNotFound, "batch %d: %v", i, err)
-				return
-			}
-			writeError(w, http.StatusBadRequest, "batch %d: %v", i, err)
+			s.writeInputError(w, fmt.Errorf("batch %d: %w", i, err))
 			return
 		}
-		pendingValues += pendingCipherValues(res, enc)
-		decoded[i] = enc
 	}
-
-	est := estimateJobBytes(entry, decoded, pendingValues)
-	batches := req.Batches
-
-	// Pre-mint the job id and bind the trace to it before submission: the
-	// manager makes a job visible — and finishable — before Submit returns,
-	// so binding afterwards would race the finish hook.
-	id, err := jobs.NewID()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	t := obs.TraceFromContext(r.Context())
-	routeSpan := obs.SpanFromContext(r.Context())
-	s.bindJobTrace(id, t)
-	admit := t.StartSpan("admission", routeSpan)
-	queueSpan := t.StartSpan("queue_wait", routeSpan)
-	snap, err := s.jobs.SubmitWithID(id, len(batches), est, func(jctx context.Context, batchDone func(int)) (any, error) {
-		queueSpan.End()
-		jctx = obs.ContextWithSpan(obs.ContextWithTrace(jctx, t), routeSpan)
-		results := make([]BatchResult, len(batches))
-		for i := range batches {
-			if err := jctx.Err(); err != nil {
-				return nil, err
-			}
-			results[i] = s.runBatch(jctx, entry, ce, &batches[i], decoded[i], ropts, req.Output, cache)
-			decoded[i] = nil // release the pinned inputs as batches complete
-			batchDone(i)
+	results := make([]BatchResult, len(p.batches))
+	snap, err := s.enqueue(r.Context(), len(p.batches), p.estimate(), func(jctx context.Context, batchDone func(int)) (any, error) {
+		if err := s.runPlan(jctx, p, results, batchDone); err != nil {
+			return nil, err
 		}
 		return results, nil
 	})
-	admit.End()
 	if err != nil {
-		queueSpan.End()
-		// The job never became visible; the finish hook will not fire, so
-		// drop the binding and its reference here.
-		if bound := s.takeJobTrace(id); bound != nil {
-			bound.Release()
-		}
 		s.writeAdmissionError(w, err)
 		return
 	}
-	s.log.Debug("job submitted",
-		slog.String(obs.LogJobID, id),
-		slog.String(obs.LogTraceID, t.ID()),
-		slog.Int("batches", len(batches)),
-		slog.Int64("est_bytes", est))
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	st := jobStatusJSON(snap)
-	st.TraceID = t.ID()
+	st.TraceID = obs.TraceFromContext(r.Context()).ID()
 	writeJSON(w, http.StatusAccepted, st)
 }
 
@@ -330,7 +431,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	default:
 		results, ok := result.([]BatchResult)
 		if !ok {
-			writeError(w, http.StatusInternalServerError, "job %q carries an unexpected result type", id)
+			// Synchronous /execute jobs hand their results to the waiting
+			// caller and retain nothing.
+			writeError(w, http.StatusGone, "job %q delivered its result to its synchronous caller", id)
 			return
 		}
 		// Drop the persisted copy so the just-delivered result cannot be

@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 
-	"eva/internal/analysis"
 	"eva/internal/ckks"
 	"eva/internal/core"
 	"eva/internal/execute"
 	"eva/internal/handle"
-	"eva/internal/jobs"
 	"eva/internal/obs"
 )
 
@@ -148,8 +145,6 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 	cache := newHandleCache()
 	plans := make([]*pipelineStagePlan, len(req.Stages))
 	var incompats []Incompat
-	pendingValues := 0
-	handleBytes := map[string]int64{}
 	for i := range req.Stages {
 		st := &req.Stages[i]
 		ce, entry, status, err := s.resolveExecution(st.ProgramID, st.ContextID)
@@ -275,7 +270,6 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 					plan.entryLevel = rh.meta.Level
 				}
 				plan.pre.Cipher[in.Name] = rh.ct
-				handleBytes[rh.meta.ID] = int64(rh.ct.MemoryBytes())
 			case binding.Cipher != "":
 				ct, err := br.cipherFromWire(binding.Cipher)
 				if err != nil {
@@ -296,7 +290,6 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				plan.values[in.Name] = binding.Values
-				pendingValues++
 			}
 		}
 		plans[i] = plan
@@ -310,84 +303,33 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// One admission charge for the whole pipeline: every distinct resolved
-	// handle once, fresh-ciphertext placeholders for demo values, decoded
-	// uploads and plain vectors per stage, and the heaviest stage's modeled
-	// peak (stages run sequentially, so their peaks never stack).
-	est := s.estimatePipelineBytes(plans, handleBytes, pendingValues)
-
-	id, err := jobs.NewID()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+	// ciphertext once, plain vectors, fresh-ciphertext placeholders for demo
+	// values, and the heaviest stage's modeled peak.
+	units := make([]admissionUnit, len(plans))
+	for i, plan := range plans {
+		units[i] = admissionUnit{res: plan.entry.Result, in: plan.pre, pending: len(plan.values)}
 	}
-	t := obs.TraceFromContext(r.Context())
-	routeSpan := obs.SpanFromContext(r.Context())
-	s.bindJobTrace(id, t)
-	admit := t.StartSpan("admission", routeSpan)
-	queueSpan := t.StartSpan("queue_wait", routeSpan)
-	snap, err := s.jobs.SubmitWithID(id, len(plans), est, func(jctx context.Context, batchDone func(int)) (any, error) {
-		queueSpan.End()
-		return s.runPipeline(obs.ContextWithTrace(jctx, t), t, routeSpan, plans, ropts, cache, batchDone)
+	snap, err := s.enqueue(r.Context(), len(plans), estimateAdmissionBytes(units), func(jctx context.Context, batchDone func(int)) (any, error) {
+		return s.runPipeline(jctx, plans, ropts, batchDone)
 	})
-	admit.End()
 	if err != nil {
-		queueSpan.End()
-		if bound := s.takeJobTrace(id); bound != nil {
-			bound.Release()
-		}
 		s.writeAdmissionError(w, err)
 		return
 	}
-	s.log.Debug("pipeline submitted",
-		slog.String(obs.LogJobID, id),
-		slog.String(obs.LogTraceID, t.ID()),
-		slog.Int("stages", len(plans)),
-		slog.Int64("est_bytes", est))
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	st := jobStatusJSON(snap)
-	st.TraceID = t.ID()
+	st.TraceID = obs.TraceFromContext(r.Context()).ID()
 	writeJSON(w, http.StatusAccepted, st)
 }
 
-// estimatePipelineBytes is the pipeline's admission estimate; see the call
-// site for the accounting rules.
-func (s *Server) estimatePipelineBytes(plans []*pipelineStagePlan, handleBytes map[string]int64, pendingValues int) int64 {
-	var est int64
-	for _, b := range handleBytes {
-		est += b
-	}
-	var peak int64
-	for _, plan := range plans {
-		res := plan.entry.Result
-		for name, ct := range plan.pre.Cipher {
-			if _, viaHandle := plan.refs[name]; viaHandle {
-				continue
-			}
-			est += int64(ct.MemoryBytes()) // uploads; handles counted above
-		}
-		for _, pv := range plan.pre.Plain {
-			est += int64(8 * len(pv))
-		}
-		model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
-		if p := model.EstimatePeakMemoryBytes(res.Program); p > peak {
-			peak = p
-		}
-	}
-	if len(plans) > 0 {
-		res := plans[0].entry.Result
-		n := int64(1) << uint(res.LogN)
-		est += int64(pendingValues) * 2 * int64(len(res.Plan.BitSizes)) * n * 8
-	}
-	return est + peak
-}
-
 // runPipeline executes the validated stages in order inside one job: each
-// stage gets a pipeline_stage span, its upstream edges are wired from the
-// raw in-memory outputs of earlier stages (no serialize/store round-trip),
-// and its results — output handle ids, or decrypted values on the final demo
-// stage — become the job's per-stage BatchResults. A failing stage fails the
-// whole pipeline.
-func (s *Server) runPipeline(jctx context.Context, t *obs.Trace, parent *obs.Span, plans []*pipelineStagePlan, ropts execute.RunOptions, cache *handleCache, batchDone func(int)) (any, error) {
+// stage gets a pipeline_stage span under jctx's span, its upstream edges are
+// wired from the raw in-memory outputs of earlier stages (no
+// serialize/store round-trip), and its results — output handle ids, or
+// decrypted values on the final demo stage — become the job's per-stage
+// BatchResults. A failing stage fails the whole pipeline.
+func (s *Server) runPipeline(jctx context.Context, plans []*pipelineStagePlan, ropts execute.RunOptions, batchDone func(int)) (any, error) {
+	t, parent := obs.TraceFromContext(jctx), obs.SpanFromContext(jctx)
 	results := make([]BatchResult, len(plans))
 	rawOuts := make([]*execute.Outputs, len(plans))
 	for i, plan := range plans {
@@ -420,7 +362,7 @@ func (s *Server) runPipeline(jctx context.Context, t *obs.Trace, parent *obs.Spa
 		}
 		batch := &ExecuteBatch{Values: plan.values}
 		stageCtx := obs.ContextWithSpan(jctx, sp)
-		result, out := s.runBatchOutputs(stageCtx, plan.entry, plan.ce, batch, pre, ropts, plan.outMode, cache)
+		result, out := s.runBatch(stageCtx, plan.entry, plan.ce, batch, pre, ropts, plan.outMode)
 		sp.End()
 		results[i] = result
 		if result.Error != "" {

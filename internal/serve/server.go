@@ -8,13 +8,13 @@
 // installs evaluation keys — either client-generated, the paper's deployment
 // model, or server-generated for the trusted demo mode — and POST
 // /execute/{id} runs batches of encrypted input sets through the parallel
-// executor, fanning the batches out across the runner's worker pool.
+// executor as one admission-controlled job and waits for its results.
 // GET /programs, GET /healthz and GET /metrics expose the registry contents,
 // liveness, and request/cache/per-opcode-latency metrics.
 //
-// Long-running work goes through the asynchronous jobs API (jobs.go): POST
-// /jobs enqueues an execution behind a bounded worker pool with
-// memory-budget admission control, GET /jobs/{id} polls, GET
+// Every execution is a job (jobs.go): POST /jobs enqueues one behind a
+// bounded worker pool with memory-budget admission control and returns at
+// once, /execute enqueues one and waits for it, GET /jobs/{id} polls, GET
 // /jobs/{id}/events streams progress over SSE, GET /jobs/{id}/result
 // delivers results exactly once with TTL eviction, and DELETE /jobs/{id}
 // cancels.
@@ -60,10 +60,6 @@ type Config struct {
 	// DefaultWorkers is the executor worker count when a request does not set
 	// one (0 = GOMAXPROCS).
 	DefaultWorkers int
-	// MaxConcurrentBatches bounds how many batches of one /execute request
-	// run simultaneously (0 = GOMAXPROCS). Each batch additionally
-	// parallelizes internally across the executor's workers.
-	MaxConcurrentBatches int
 	// MaxBodyBytes caps the size of any request body (0 = 256 MiB — key
 	// material for large rings runs to tens of megabytes, so the default is
 	// generous). Oversized requests are rejected mid-read.
@@ -356,9 +352,10 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // Coalescer exposes the request coalescer (for tests and tooling).
 func (s *Server) Coalescer() *coalesce.Coalescer { return s.coalescer }
 
-// Close stops the async job subsystem: running jobs are cancelled and the
-// worker pool drains. The HTTP handlers remain usable for synchronous
-// requests, but further job submissions fail.
+// Close stops the job subsystem: running jobs are cancelled and the worker
+// pool drains. Every execution route runs through it, so afterwards
+// /execute, /jobs, coalesced submissions, and /pipelines all fail with 503;
+// the other handlers (compile, contexts, handles, reads) remain usable.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.janitorStop != nil {
@@ -373,11 +370,12 @@ func (s *Server) Close() {
 	s.profiles.Flush()
 }
 
-// Drain gracefully stops the async job subsystem: new submissions are
-// rejected immediately while queued and running jobs get until ctx expires
-// to finish (their results are persisted on the way out when a store is
-// configured); the remainder is then cancelled. The HTTP handlers remain
-// usable for synchronous requests.
+// Drain gracefully stops the job subsystem: new executions on every route —
+// synchronous /execute included — are refused with 503 immediately, while
+// queued and running jobs get until ctx expires to finish (their results are
+// persisted on the way out when a store is configured, and waiting /execute
+// callers get their answers); the remainder is then cancelled. The
+// non-execution handlers remain usable.
 func (s *Server) Drain(ctx context.Context) error { return s.jobs.Drain(ctx) }
 
 // Registry exposes the program registry (for tests and tooling).
@@ -473,9 +471,9 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// maxBatchesPerRequest caps how many input sets one /execute request may
-// carry; each batch gets a goroutine parked on the fan-out semaphore, so the
-// count must be bounded.
+// maxBatchesPerRequest caps how many input sets one /execute or /jobs
+// request may carry; every batch is resolved at admission, so the count
+// must be bounded.
 const maxBatchesPerRequest = 4096
 
 // SourceError is one positioned diagnostic from compiling the "source" form
@@ -1068,9 +1066,9 @@ type ExecuteBatch struct {
 	Values  map[string][]float64 `json:"values,omitempty"`
 }
 
-// ExecuteRequest is the body of POST /execute/{program-id}. Batches run
-// concurrently (bounded by the server's MaxConcurrentBatches) and each batch
-// additionally fans out across Workers executor goroutines. Output selects
+// ExecuteRequest is the body of POST /execute/{program-id}. The request runs
+// as one admission-controlled job whose batches execute in order, each
+// fanning out across Workers executor goroutines. Output selects
 // the result form: "" returns ciphertext payloads (or decrypted values in
 // demo mode), "handle" persists every encrypted output as a content-addressed
 // handle and returns ids instead of payloads.
@@ -1128,53 +1126,24 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve the program through the context, not the registry: a context
 	// pins its compiled program, so LRU eviction never breaks a live context.
-	ce, entry, status, err := s.resolveExecution(programID, req.ContextID)
+	p, status, err := s.planExecution(r.Context(), &JobRequest{
+		ProgramID: programID,
+		ContextID: req.ContextID,
+		Workers:   req.Workers,
+		Scheduler: req.Scheduler,
+		Output:    req.Output,
+		Batches:   req.Batches,
+	})
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
-	if len(req.Batches) == 0 {
-		writeError(w, http.StatusBadRequest, "no batches")
+	results := make([]BatchResult, len(p.batches))
+	if !s.runAndWait(w, r, len(p.batches), p.estimate(), func(jctx context.Context, batchDone func(int)) error {
+		return s.runPlan(jctx, p, results, batchDone)
+	}) {
 		return
 	}
-	if len(req.Batches) > maxBatchesPerRequest {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
-		return
-	}
-	ropts, err := s.runOptions(req.Workers, req.Scheduler)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := validOutputMode(req.Output); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// Fan the batches out across the worker pool: each batch is one
-	// DAG-parallel execution, and up to maxConcurrent batches run at once.
-	// The request context propagates into the executor, so a disconnected
-	// client stops its in-flight work. The handle cache is shared across the
-	// request's batches: a handle referenced by many batches is fetched and
-	// deserialized once (resolved ciphertexts are read-only to the executor).
-	maxConcurrent := s.cfg.MaxConcurrentBatches
-	if maxConcurrent <= 0 {
-		maxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	cache := newHandleCache()
-	results := make([]BatchResult, len(req.Batches))
-	sem := make(chan struct{}, maxConcurrent)
-	var wg sync.WaitGroup
-	for i := range req.Batches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = s.runBatch(r.Context(), entry, ce, &req.Batches[i], nil, ropts, req.Output, cache)
-		}(i)
-	}
-	wg.Wait()
 	writeJSON(w, http.StatusOK, ExecuteResponse{ProgramID: programID, Results: results})
 }
 
@@ -1182,24 +1151,16 @@ func batchError(format string, args ...any) BatchResult {
 	return BatchResult{Error: fmt.Sprintf(format, args...)}
 }
 
-// runBatch executes one input set against a compiled program. decoded may
-// carry inputs resolved ahead of time — fully (the jobs path decodes at
-// admission) or partially (handle references resolved, demo values still
-// pending); buildBatchInputs completes whatever is missing. outMode selects
-// the result form ("", "handle", or "values"); cache, when non-nil, shares
-// resolved handles across the batches of one request. stdctx cancellation
-// aborts the execution.
-func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry, batch *ExecuteBatch, decoded *execute.EncryptedInputs, ropts execute.RunOptions, outMode string, cache *handleCache) BatchResult {
-	result, _ := s.runBatchOutputs(stdctx, entry, ce, batch, decoded, ropts, outMode, cache)
-	return result
-}
-
-// runBatchOutputs is runBatch exposing the raw executor outputs, so the
-// pipeline runner can feed one stage's output ciphertexts straight into the
-// next stage without a serialize/store/fetch round-trip.
-func (s *Server) runBatchOutputs(stdctx context.Context, entry *Entry, ce *contextEntry, batch *ExecuteBatch, decoded *execute.EncryptedInputs, ropts execute.RunOptions, outMode string, cache *handleCache) (BatchResult, *execute.Outputs) {
+// runBatch executes one input set against a compiled program inside a job's
+// RunFunc. decoded carries the inputs resolved at admission; the batch's
+// demo values still pending are encrypted first. outMode selects the result
+// form ("", "handle", or "values"). stdctx cancellation aborts the
+// execution. The raw executor outputs are returned too, so the pipeline
+// runner can feed one stage's output ciphertexts straight into the next
+// stage without a serialize/store/fetch round-trip.
+func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry, batch *ExecuteBatch, decoded *execute.EncryptedInputs, ropts execute.RunOptions, outMode string) (BatchResult, *execute.Outputs) {
 	res := entry.Result
-	enc, err := s.buildBatchInputs(stdctx, ce, res, batch, decoded, cache, false)
+	enc, err := completeInputs(ce, res, batch, decoded)
 	if err != nil {
 		s.metrics.RecordExecutionError()
 		return batchError("%v", err), nil

@@ -44,7 +44,7 @@ func (s *Server) takeJobTrace(jobID string) *obs.Trace {
 func (s *Server) onJobFinish(snap jobs.Snapshot, result any) {
 	t := s.takeJobTrace(snap.ID)
 	var sp *obs.Span
-	if s.cfg.Store != nil && snap.Status == jobs.StatusDone {
+	if s.cfg.Store != nil && snap.Status == jobs.StatusDone && result != nil {
 		sp = t.StartSpan("store_write", nil)
 	}
 	s.persistJobResult(snap, result)
