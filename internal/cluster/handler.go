@@ -518,8 +518,14 @@ func (c *Cluster) handleProfile(w http.ResponseWriter, r *http.Request) {
 			nodes[node] = msg
 			continue
 		}
+		// A report that does not decode or has another build's histogram
+		// shape is shown as an error, not merged into the wrong buckets.
 		var rep profile.Report
-		if err := json.Unmarshal(data, &rep); err != nil {
+		err = json.Unmarshal(data, &rep)
+		if err == nil {
+			err = rep.Validate()
+		}
+		if err != nil {
 			msg, _ := json.Marshal(map[string]string{"error": err.Error()})
 			nodes[node] = msg
 			continue

@@ -9,6 +9,7 @@ import (
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
+	"eva/internal/core"
 )
 
 // setupRun compiles a program and prepares encrypted inputs for RunContext.
@@ -35,8 +36,8 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	cancel()
 	var executed atomic.Int64
 	_, err := RunContext(stdctx, ctx, res, enc, RunOptions{
-		Workers:  2,
-		Progress: func(done, total int) { executed.Store(int64(done)) },
+		Workers:       2,
+		OnInstruction: func(_ *core.Term, rec InstrRecord) { executed.Store(int64(rec.Done)) },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v; want context.Canceled", err)
@@ -49,7 +50,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 // TestRunContextCancelMidRun is the regression test for the runner ignoring
 // caller cancellation: cancelling while workers are blocked mid-run must make
 // RunContext return promptly with the context error, without executing the
-// rest of the program. The Progress callback cancels after the first
+// rest of the program. The OnInstruction callback cancels after the first
 // instruction, so with a single worker the remaining instructions are all
 // still pending at cancellation time.
 func TestRunContextCancelMidRun(t *testing.T) {
@@ -66,9 +67,9 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		_, err := RunContext(stdctx, ctx, res, enc, RunOptions{
 			Workers:   1,
 			Scheduler: SchedulerParallel,
-			Progress: func(done, total int) {
-				executed.Store(int64(done))
-				if done == 1 {
+			OnInstruction: func(_ *core.Term, rec InstrRecord) {
+				executed.Store(int64(rec.Done))
+				if rec.Done == 1 {
 					cancel()
 				}
 			},
@@ -117,8 +118,8 @@ func TestProgressReportsEveryInstruction(t *testing.T) {
 	var calls []int
 	total := -1
 	out, err := RunContext(context.Background(), ctx, res, enc, RunOptions{
-		Workers:  2,
-		Progress: func(done, n int) { calls = append(calls, done); total = n },
+		Workers:       2,
+		OnInstruction: func(_ *core.Term, rec InstrRecord) { calls = append(calls, rec.Done); total = rec.Total },
 	})
 	if err != nil {
 		t.Fatal(err)

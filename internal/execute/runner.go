@@ -36,11 +36,6 @@ type RunOptions struct {
 	// Workers is the number of worker goroutines (0 means GOMAXPROCS).
 	Workers   int
 	Scheduler Scheduler
-	// Progress, when non-nil, is called after every completed instruction with
-	// the number of instructions finished so far and the total. Calls are
-	// serialized (never concurrent) but may come from any worker goroutine, so
-	// the callback must be fast and must not call back into the executor.
-	Progress func(done, total int)
 	// DisableHoisting turns off hoisted rotation batching: every rotation is
 	// then an independent key switch, as in the sequential baseline.
 	DisableHoisting bool
@@ -50,9 +45,12 @@ type RunOptions struct {
 	// concurrent) and must not call back into the executor.
 	OnHoistedBatch func(rotations int)
 	// OnInstruction, when non-nil, is called after every completed instruction
-	// with the term and its measured record. Like Progress, calls are
-	// serialized under the run's lock but may come from any worker goroutine;
-	// the callback must be fast and must not call back into the executor.
+	// (leaf INPUT and CONSTANT terms included) with the term and its measured
+	// record. It is the executor's only per-instruction output: progress,
+	// per-opcode latency and the profiler all read this one stream. Calls are
+	// serialized under the run's lock, so Done is strictly increasing, but may
+	// come from any worker goroutine; the callback must be fast and must not
+	// call back into the executor.
 	OnInstruction func(t *core.Term, rec InstrRecord)
 }
 
@@ -60,6 +58,9 @@ type RunOptions struct {
 // RunOptions.OnInstruction: what actually happened when the instruction ran,
 // for the profiler to compare against the compiler's static expectations.
 type InstrRecord struct {
+	// Done counts the instructions completed so far, this one included, out
+	// of Total scheduled terms.
+	Done, Total int
 	// Wall is the instruction's evaluation wall time (backend call only, not
 	// queueing). For the first-scheduled member of a hoisted rotation batch it
 	// includes the whole batch's shared key-switch work.
@@ -104,7 +105,6 @@ type runState struct {
 	in      *EncryptedInputs
 	vecSize int
 	total   int
-	onDone  func(done, total int)
 	onInstr func(t *core.Term, rec InstrRecord)
 
 	// hoist maps each rotation instruction that belongs to a hoistable set
@@ -200,12 +200,10 @@ func RunContext(stdctx context.Context, ctx *Context, res *compile.Result, in *E
 		in:        in,
 		vecSize:   res.Program.VecSize,
 		total:     len(order),
-		onDone:    opts.Progress,
 		onInstr:   opts.OnInstruction,
 		values:    make(map[*core.Term]*value, len(order)),
 		refcounts: make(map[*core.Term]int, len(order)),
 	}
-	st.stats.PerOp = make(map[string]*OpStats)
 	if !opts.DisableHoisting {
 		st.onHoistedBatch = opts.OnHoistedBatch
 		sets := rewrite.RotationSets(res.Program)
@@ -491,13 +489,6 @@ func (st *runState) evalAndStore(t *core.Term) (err error) {
 	}
 	elapsed := time.Since(start)
 	st.mu.Lock()
-	op := t.Op.String()
-	os := st.stats.PerOp[op]
-	if os == nil {
-		os = &OpStats{}
-		st.stats.PerOp[op] = os
-	}
-	os.observe(elapsed)
 	st.values[t] = v
 	vb := v.bytes()
 	st.liveBytes += vb
@@ -508,10 +499,14 @@ func (st *runState) evalAndStore(t *core.Term) (err error) {
 	if st.liveValues > st.stats.PeakLiveValues {
 		st.stats.PeakLiveValues = st.liveValues
 	}
+	st.completed++
 	if st.onInstr != nil {
 		// Operand footprints must be read before the release loop below frees
-		// last uses. Serialized under st.mu like Progress.
+		// last uses. Invoked under st.mu so calls are serialized and Done is
+		// monotone; the callback contract requires it to be fast.
 		rec := InstrRecord{
+			Done:     st.completed,
+			Total:    st.total,
 			Wall:     elapsed,
 			Level:    -1,
 			OutBytes: vb,
@@ -540,12 +535,6 @@ func (st *runState) evalAndStore(t *core.Term) (err error) {
 				st.stats.ReusedValues++
 			}
 		}
-	}
-	st.completed++
-	if st.onDone != nil {
-		// Invoked under st.mu so calls are serialized and the (done, total)
-		// pairs are monotone; the callback contract requires it to be fast.
-		st.onDone(st.completed, st.total)
 	}
 	st.mu.Unlock()
 	return nil

@@ -82,8 +82,8 @@ func (sp *Span) SetAttr(key, value string) {
 	sp.t.mu.Unlock()
 }
 
-// Progress records instruction progress (an execute.RunOptions.Progress
-// callback). It is cheap enough for per-instruction use.
+// Progress records instruction progress (the Done/Total of each
+// execute.InstrRecord). It is cheap enough for per-instruction use.
 func (sp *Span) Progress(done, total int) {
 	if sp == nil {
 		return

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -126,7 +127,8 @@ func MeanRelativeError(profiles []ProgramProfile, predict func(op string, units 
 }
 
 // LoadProfiles reads every accumulated program profile from the store,
-// skipping records that fail to decode.
+// skipping records that fail to decode or whose histograms do not have this
+// build's shape.
 func LoadProfiles(st store.Store) ([]ProgramProfile, error) {
 	ids, err := st.List(KindProfile)
 	if err != nil {
@@ -139,11 +141,11 @@ func LoadProfiles(st store.Store) ([]ProgramProfile, error) {
 		if err != nil {
 			continue
 		}
-		var p ProgramProfile
-		if err := decodeJSON(data, &p); err != nil {
+		p, err := decodeProgramProfile(data)
+		if err != nil {
 			continue
 		}
-		out = append(out, p)
+		out = append(out, *p)
 	}
 	return out, nil
 }
@@ -159,7 +161,7 @@ func LoadCalibration(st store.Store) (*Calibration, error) {
 		return nil, fmt.Errorf("profile: loading calibration: %w", err)
 	}
 	var cal Calibration
-	if err := decodeJSON(data, &cal); err != nil {
+	if err := json.Unmarshal(data, &cal); err != nil {
 		return nil, fmt.Errorf("profile: decoding calibration: %w", err)
 	}
 	return &cal, nil
@@ -167,7 +169,7 @@ func LoadCalibration(st store.Store) (*Calibration, error) {
 
 // SaveCalibration persists the fitted coefficient set under the singleton id.
 func SaveCalibration(st store.Store, cal *Calibration) error {
-	data, err := encodeJSON(cal)
+	data, err := json.Marshal(cal)
 	if err != nil {
 		return fmt.Errorf("profile: encoding calibration: %w", err)
 	}

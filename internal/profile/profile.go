@@ -18,6 +18,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"log/slog"
 	"math"
 	"sync"
@@ -278,12 +279,7 @@ func (r *Recorder) OnInstruction(t *core.Term, rec execute.InstrRecord) {
 	r.samples++
 	pd, known := r.p.perTerm[t]
 	key := BucketKey{Op: t.Op.String(), Level: rec.Level, Hoisted: rec.Hoisted}
-	b := r.local[key]
-	if b == nil {
-		b = newBucket()
-		r.local[key] = b
-	}
-	b.observe(rec, pd.units)
+	bucketAt(r.local, key).observe(rec, pd.units)
 
 	if !rec.Cipher || !known {
 		return
@@ -358,14 +354,9 @@ func (c *Collector) fold(r *Recorder) {
 	c.instructions += r.n
 	c.samples += r.samples
 	for k, lb := range r.local {
-		b := c.buckets[k]
-		if b == nil {
-			b = newBucket()
-			c.buckets[k] = b
-		}
-		b.merge(lb)
+		bucketAt(c.buckets, k).merge(lb)
 		if !k.Hoisted && lb.units > 0 {
-			c.totalNs += lb.ns
+			c.totalNs += lb.latency.Snapshot().Sum
 			c.totalUnits += lb.units
 		}
 	}
@@ -391,12 +382,7 @@ func (c *Collector) fold(r *Recorder) {
 	pa.instructions += r.n
 	pa.samples += r.samples
 	for k, lb := range r.local {
-		b := pa.buckets[k]
-		if b == nil {
-			b = newBucket()
-			pa.buckets[k] = b
-		}
-		b.merge(lb)
+		bucketAt(pa.buckets, k).merge(lb)
 	}
 	if c.cfg.Store != nil && now.Sub(pa.lastPersist) >= c.cfg.PersistInterval {
 		pa.lastPersist = now
@@ -433,20 +419,25 @@ func (c *Collector) persistProgram(id string, pa *programAgg) {
 	pa.persistMu.Lock()
 	defer pa.persistMu.Unlock()
 	if !pa.loaded {
+		// A record that fails to decode or has another build's histogram
+		// shape is dropped rather than merged into the wrong buckets.
 		if data, err := c.cfg.Store.Get(KindProfile, id); err == nil {
-			var base ProgramProfile
-			if decodeErr := decodeJSON(data, &base); decodeErr == nil {
-				pa.baseline = &base
+			if base, decodeErr := decodeProgramProfile(data); decodeErr == nil {
+				pa.baseline = base
+			} else if c.cfg.Logger != nil {
+				c.cfg.Logger.Warn("profile baseline skipped", slog.String("program", id), slog.String("error", decodeErr.Error()))
 			}
 		}
 		pa.loaded = true
 	}
 	snap := c.snapshotProgram(id, pa)
 	if pa.baseline != nil {
-		snap.mergeFrom(pa.baseline)
+		if err := snap.mergeFrom(pa.baseline); err != nil {
+			return // both sides are shape-checked, so this cannot happen
+		}
 	}
 	snap.UpdatedAt = time.Now().UTC().Format(time.RFC3339)
-	data, err := encodeJSON(snap)
+	data, err := json.Marshal(snap)
 	if err != nil {
 		return
 	}

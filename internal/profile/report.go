@@ -2,6 +2,8 @@ package profile
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -17,16 +19,6 @@ const (
 	DriftKindCost  = "cost"  // wall time off the cost-model prediction by ≥ factor
 )
 
-// latencyBounds are the histogram upper bounds in seconds, shared with the
-// executor's per-op histograms so /metrics and /profile bucket identically.
-var latencyBounds = func() []float64 {
-	b := make([]float64, len(execute.OpLatencyBounds))
-	for i, d := range execute.OpLatencyBounds {
-		b[i] = d.Seconds()
-	}
-	return b
-}()
-
 // ByteBounds are the result-size histogram upper bounds in bytes: 4 KiB
 // (plain vectors, tiny rings) through 128 MiB (triple-poly paper-scale
 // ciphertexts), geometric by 8x.
@@ -40,67 +32,38 @@ type BucketKey struct {
 	Hoisted bool
 }
 
-// bucket is the internal aggregate; Bucket is its mergeable wire form.
+// bucket is the internal aggregate; Bucket is its mergeable wire form. The
+// latency histogram is in nanoseconds over obs.InstructionBoundsNS (the
+// bounds serve's per-opcode histograms use) and the size histogram in bytes
+// over ByteBounds. Both see every sample, so either count is the bucket's.
 type bucket struct {
-	count    uint64
-	ns       float64
-	maxNs    float64
-	units    float64
-	bytes    float64
-	maxBytes float64
-	latency  []uint64
-	sizes    []uint64
+	units   float64
+	latency *obs.Histogram
+	sizes   *obs.Histogram
 }
 
-func newBucket() *bucket {
-	return &bucket{
-		latency: make([]uint64, len(latencyBounds)+1),
-		sizes:   make([]uint64, len(ByteBounds)+1),
+// bucketAt returns m[k], creating an empty bucket on first use.
+func bucketAt(m map[BucketKey]*bucket, k BucketKey) *bucket {
+	b := m[k]
+	if b == nil {
+		b = &bucket{latency: obs.NewHistogram(obs.InstructionBoundsNS), sizes: obs.NewHistogram(ByteBounds)}
+		m[k] = b
 	}
+	return b
 }
 
 func (b *bucket) observe(rec execute.InstrRecord, units float64) {
-	b.count++
-	ns := float64(rec.Wall.Nanoseconds())
-	b.ns += ns
-	if ns > b.maxNs {
-		b.maxNs = ns
-	}
 	b.units += units
-	out := float64(rec.OutBytes)
-	b.bytes += out
-	if out > b.maxBytes {
-		b.maxBytes = out
-	}
-	b.latency[bucketIndexF(latencyBounds, rec.Wall.Seconds())]++
-	b.sizes[bucketIndexF(ByteBounds, out)]++
+	b.latency.Observe(float64(rec.Wall))
+	b.sizes.Observe(float64(rec.OutBytes))
 }
 
+// merge folds o into b. The histogram merges cannot fail: every bucket is
+// built over the package bounds (wire input is shape-checked by toInternal).
 func (b *bucket) merge(o *bucket) {
-	b.count += o.count
-	b.ns += o.ns
-	if o.maxNs > b.maxNs {
-		b.maxNs = o.maxNs
-	}
 	b.units += o.units
-	b.bytes += o.bytes
-	if o.maxBytes > b.maxBytes {
-		b.maxBytes = o.maxBytes
-	}
-	for i := range o.latency {
-		b.latency[i] += o.latency[i]
-	}
-	for i := range o.sizes {
-		b.sizes[i] += o.sizes[i]
-	}
-}
-
-func bucketIndexF(bounds []float64, v float64) int {
-	i := 0
-	for i < len(bounds) && v > bounds[i] {
-		i++
-	}
-	return i
+	_ = b.latency.Merge(o.latency)
+	_ = b.sizes.Merge(o.sizes)
 }
 
 // Bucket is one (opcode, level, hoisted) aggregate in wire form. The raw sums
@@ -128,21 +91,40 @@ type Bucket struct {
 
 func (w *Bucket) key() BucketKey { return BucketKey{Op: w.Op, Level: w.Level, Hoisted: w.Hoisted} }
 
-func (w *Bucket) toInternal() *bucket {
-	b := newBucket()
-	b.count = w.Count
-	b.ns = w.TotalNS
-	b.maxNs = w.MaxNS
-	b.units = w.Units
-	b.bytes = w.Bytes
-	b.maxBytes = w.MaxBytes
-	for i := 0; i < len(b.latency) && i < len(w.Latency); i++ {
-		b.latency[i] = w.Latency[i]
+// toInternal rebuilds the aggregate from wire form, rejecting a bucket whose
+// histograms do not have this build's shape (bucket count, counts summing to
+// Count) instead of merging it into the wrong buckets.
+func (w *Bucket) toInternal() (*bucket, error) {
+	latency, err := obs.HistogramFrom(obs.HistogramSnapshot{
+		Bounds: obs.InstructionBoundsNS, Counts: w.Latency, Sum: w.TotalNS, Max: w.MaxNS, Count: w.Count,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("profile: %s bucket at level %d: latency_buckets: %w", w.Op, w.Level, err)
 	}
-	for i := 0; i < len(b.sizes) && i < len(w.Sizes); i++ {
-		b.sizes[i] = w.Sizes[i]
+	sizes, err := obs.HistogramFrom(obs.HistogramSnapshot{
+		Bounds: ByteBounds, Counts: w.Sizes, Sum: w.Bytes, Max: w.MaxBytes, Count: w.Count,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("profile: %s bucket at level %d: byte_buckets: %w", w.Op, w.Level, err)
 	}
-	return b
+	return &bucket{units: w.Units, latency: latency, sizes: sizes}, nil
+}
+
+// foldWire shape-checks wire buckets and folds them into m. It converts all
+// of them before merging any, so on error m is untouched.
+func foldWire(m map[BucketKey]*bucket, ws []Bucket) error {
+	in := make([]*bucket, len(ws))
+	for i := range ws {
+		b, err := ws[i].toInternal()
+		if err != nil {
+			return err
+		}
+		in[i] = b
+	}
+	for i, b := range in {
+		bucketAt(m, ws[i].key()).merge(b)
+	}
+	return nil
 }
 
 // wireBuckets renders an aggregate map sorted by (op, level, hoisted),
@@ -150,23 +132,24 @@ func (w *Bucket) toInternal() *bucket {
 func wireBuckets(m map[BucketKey]*bucket, cal *Calibration) []Bucket {
 	out := make([]Bucket, 0, len(m))
 	for k, b := range m {
+		lat, sizes := b.latency.Snapshot(), b.sizes.Snapshot()
 		w := Bucket{
 			Op:       k.Op,
 			Level:    k.Level,
 			Hoisted:  k.Hoisted,
-			Count:    b.count,
-			TotalNS:  b.ns,
-			MaxNS:    b.maxNs,
+			Count:    lat.Count,
+			TotalNS:  lat.Sum,
+			MaxNS:    lat.Max,
 			Units:    b.units,
-			Bytes:    b.bytes,
-			MaxBytes: b.maxBytes,
-			Latency:  append([]uint64(nil), b.latency...),
-			Sizes:    append([]uint64(nil), b.sizes...),
+			Bytes:    sizes.Sum,
+			MaxBytes: sizes.Max,
+			Latency:  lat.Counts,
+			Sizes:    sizes.Counts,
 		}
-		if b.count > 0 {
-			w.MeanUS = b.ns / float64(b.count) / 1e3
+		if lat.Count > 0 {
+			w.MeanUS = lat.Sum / float64(lat.Count) / 1e3
 			if cal != nil && b.units > 0 {
-				w.PredictedUS = cal.PredictNs(k.Op, b.units/float64(b.count)) / 1e3
+				w.PredictedUS = cal.PredictNs(k.Op, b.units/float64(lat.Count)) / 1e3
 			}
 		}
 		out = append(out, w)
@@ -218,24 +201,34 @@ type ProgramProfile struct {
 	UpdatedAt    string   `json:"updated_at,omitempty"`
 }
 
-// mergeFrom folds another profile's counters and buckets into p.
-func (p *ProgramProfile) mergeFrom(o *ProgramProfile) {
+// decodeProgramProfile decodes a persisted profile record, rejecting one
+// whose buckets do not have this build's histogram shape.
+func decodeProgramProfile(data []byte) (*ProgramProfile, error) {
+	var p ProgramProfile
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, err
+	}
+	if err := foldWire(map[BucketKey]*bucket{}, p.Buckets); err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// mergeFrom folds another profile's counters and buckets into p. On error
+// (a malformed bucket in either profile) p is unchanged.
+func (p *ProgramProfile) mergeFrom(o *ProgramProfile) error {
+	m := map[BucketKey]*bucket{}
+	if err := foldWire(m, p.Buckets); err != nil {
+		return err
+	}
+	if err := foldWire(m, o.Buckets); err != nil {
+		return err
+	}
 	p.Executions += o.Executions
 	p.Instructions += o.Instructions
 	p.Samples += o.Samples
-	m := map[BucketKey]*bucket{}
-	for i := range p.Buckets {
-		m[p.Buckets[i].key()] = p.Buckets[i].toInternal()
-	}
-	for i := range o.Buckets {
-		k := o.Buckets[i].key()
-		if b, ok := m[k]; ok {
-			b.merge(o.Buckets[i].toInternal())
-		} else {
-			m[k] = o.Buckets[i].toInternal()
-		}
-	}
 	p.Buckets = wireBuckets(m, nil)
+	return nil
 }
 
 // Report is the GET /profile response body for one node, and (via
@@ -259,11 +252,31 @@ type Report struct {
 }
 
 func latencyBoundsUS() []float64 {
-	out := make([]float64, len(latencyBounds))
-	for i, s := range latencyBounds {
-		out[i] = s * 1e6
+	out := make([]float64, len(obs.InstructionBoundsNS))
+	for i, ns := range obs.InstructionBoundsNS {
+		out[i] = ns / 1e3
 	}
 	return out
+}
+
+// Validate checks that a report — typically a peer's /profile response —
+// has this build's histogram shape: the same latency and byte bounds, and
+// buckets whose histograms fit them. MergeReports skips reports that fail.
+func (r *Report) Validate() error {
+	if err := r.checkBounds(); err != nil {
+		return err
+	}
+	return foldWire(map[BucketKey]*bucket{}, r.Buckets)
+}
+
+func (r *Report) checkBounds() error {
+	if !slices.Equal(r.LatencyBoundsUS, latencyBoundsUS()) {
+		return fmt.Errorf("profile: latency_bounds_us %v, want %v", r.LatencyBoundsUS, latencyBoundsUS())
+	}
+	if !slices.Equal(r.ByteBounds, ByteBounds) {
+		return fmt.Errorf("profile: byte_bounds %v, want %v", r.ByteBounds, ByteBounds)
+	}
+	return nil
 }
 
 // Report snapshots the collector.
@@ -317,6 +330,7 @@ func (c *Collector) Report() Report {
 // MergeReports combines per-node reports into one cluster view: counters and
 // buckets sum (each sample was recorded by exactly one node, so summing never
 // double-counts), drift events interleave, and program summaries merge by id.
+// A report that fails Validate contributes nothing.
 func MergeReports(node string, reports []Report) Report {
 	merged := Report{
 		Node:            node,
@@ -328,6 +342,9 @@ func MergeReports(node string, reports []Report) Report {
 	programs := map[string]*ProgramSummary{}
 	var totalNs, totalUnits float64
 	for _, rep := range reports {
+		if rep.checkBounds() != nil || foldWire(buckets, rep.Buckets) != nil {
+			continue
+		}
 		if rep.Enabled {
 			merged.Enabled = true
 		}
@@ -344,17 +361,10 @@ func MergeReports(node string, reports []Report) Report {
 			}
 			merged.DriftCounts[k] += v
 		}
-		for i := range rep.Buckets {
-			k := rep.Buckets[i].key()
-			ib := rep.Buckets[i].toInternal()
-			if b, ok := buckets[k]; ok {
-				b.merge(ib)
-			} else {
-				buckets[k] = ib
-			}
-			if !k.Hoisted && ib.units > 0 {
-				totalNs += ib.ns
-				totalUnits += ib.units
+		for _, b := range rep.Buckets {
+			if !b.Hoisted && b.Units > 0 {
+				totalNs += b.TotalNS
+				totalUnits += b.Units
 			}
 		}
 		merged.Drift = append(merged.Drift, rep.Drift...)
@@ -409,11 +419,11 @@ func (c *Collector) WriteProm(p *obs.PromWriter) {
 		for i := range rep.Buckets {
 			b := &rep.Buckets[i]
 			p.Histogram("eva_profile_op_duration_seconds", bucketLabels(b), obs.HistogramSnapshot{
-				Bounds: latencyBounds,
+				Bounds: obs.InstructionBoundsNS,
 				Counts: b.Latency,
-				Sum:    b.TotalNS / 1e9,
+				Sum:    b.TotalNS,
 				Count:  b.Count,
-			})
+			}.Scaled(1e9))
 		}
 		p.Meta("eva_profile_op_result_bytes", "Per-instruction result footprint by opcode and post-op ring level.", "histogram")
 		for i := range rep.Buckets {
@@ -450,6 +460,3 @@ func sortedKeys(m map[string]float64) []string {
 	sort.Strings(out)
 	return out
 }
-
-func encodeJSON(v any) ([]byte, error)    { return json.Marshal(v) }
-func decodeJSON(data []byte, v any) error { return json.Unmarshal(data, v) }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"eva/internal/coalesce"
-	"eva/internal/execute"
 	"eva/internal/handle"
 	"eva/internal/jobs"
 	"eva/internal/obs"
@@ -15,10 +14,11 @@ import (
 
 // Metrics aggregates service-level counters: per-route request counts, cache
 // statistics (taken from the registry at report time), execution counts, and
-// per-opcode latency histograms merged from every execution's RunStats. The
-// measured histograms sit next to the per-opcode cost predicted by the
-// analysis cost model (the same model the bench harness uses), so operators
-// can see whether the service behaves the way the model says it should.
+// per-opcode latency histograms merged from every execution's instruction
+// stream (see Server.runBatch). The measured histograms sit next to the
+// per-opcode cost predicted by the analysis cost model (the same model the
+// bench harness uses), so operators can see whether the service behaves the
+// way the model says it should.
 type Metrics struct {
 	mu         sync.Mutex
 	start      time.Time
@@ -26,7 +26,7 @@ type Metrics struct {
 	executions uint64
 	execFailed uint64
 	execTotal  time.Duration
-	perOp      map[string]*execute.OpStats
+	perOp      map[string]*obs.Histogram // nanoseconds, obs.InstructionBoundsNS
 	// predictedCost accumulates, per opcode, the cost-model estimate of every
 	// program compiled by this process (abstract limb-element operations).
 	predictedCost map[string]float64
@@ -45,7 +45,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		start:         time.Now(),
 		requests:      map[string]*routeStats{},
-		perOp:         map[string]*execute.OpStats{},
+		perOp:         map[string]*obs.Histogram{},
 		predictedCost: map[string]float64{},
 	}
 }
@@ -74,18 +74,20 @@ func (m *Metrics) RecordRequest(route string, status int, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// RecordExecution folds one batch execution's statistics into the aggregate.
-func (m *Metrics) RecordExecution(stats execute.RunStats) {
+// RecordExecution folds one batch execution into the aggregate: its wall
+// time and its per-opcode instruction latency histograms (nanoseconds over
+// obs.InstructionBoundsNS).
+func (m *Metrics) RecordExecution(wall time.Duration, perOp map[string]*obs.Histogram) {
 	m.mu.Lock()
 	m.executions++
-	m.execTotal += stats.WallTime
-	for op, os := range stats.PerOp {
+	m.execTotal += wall
+	for op, h := range perOp {
 		agg := m.perOp[op]
 		if agg == nil {
-			agg = &execute.OpStats{}
+			agg = obs.NewHistogram(obs.InstructionBoundsNS)
 			m.perOp[op] = agg
 		}
-		agg.Merge(os)
+		_ = agg.Merge(h) // cannot fail: every per-op histogram uses InstructionBoundsNS
 	}
 	m.mu.Unlock()
 }
@@ -109,14 +111,14 @@ func (m *Metrics) RecordPredictedCost(byOp map[string]float64) {
 
 // OpHistogram is the wire form of one opcode's latency aggregate.
 type OpHistogram struct {
-	Count   int     `json:"count"`
+	Count   uint64  `json:"count"`
 	TotalMS float64 `json:"total_ms"`
 	MeanUS  float64 `json:"mean_us"`
 	MaxUS   float64 `json:"max_us"`
 	// BucketBounds are the histogram bucket upper bounds in microseconds;
 	// the final bucket in Buckets is the overflow bucket.
 	BucketBounds []float64 `json:"bucket_bounds_us"`
-	Buckets      []int     `json:"buckets"`
+	Buckets      []uint64  `json:"buckets"`
 	// PredictedShare is the opcode's share of the cost model's total
 	// predicted cost across all programs compiled by this process.
 	PredictedShare float64 `json:"predicted_cost_share"`
@@ -161,9 +163,9 @@ func (m *Metrics) Report(cache CacheStats, jobStats jobs.Stats, storeStats *stor
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	bounds := make([]float64, len(execute.OpLatencyBounds))
-	for i, b := range execute.OpLatencyBounds {
-		bounds[i] = float64(b) / float64(time.Microsecond)
+	bounds := make([]float64, len(obs.InstructionBoundsNS))
+	for i, ns := range obs.InstructionBoundsNS {
+		bounds[i] = ns / 1e3
 	}
 	var predictedTotal float64
 	for _, c := range m.predictedCost {
@@ -182,14 +184,15 @@ func (m *Metrics) Report(cache CacheStats, jobStats jobs.Stats, storeStats *stor
 	sort.Strings(ops)
 	for _, op := range ops {
 		h := OpHistogram{BucketBounds: bounds}
-		if os := m.perOp[op]; os != nil {
-			h.Count = os.Count
-			h.TotalMS = float64(os.Total) / float64(time.Millisecond)
-			if os.Count > 0 {
-				h.MeanUS = float64(os.Total) / float64(os.Count) / float64(time.Microsecond)
+		if agg := m.perOp[op]; agg != nil {
+			snap := agg.Snapshot()
+			h.Count = snap.Count
+			h.TotalMS = snap.Sum / 1e6
+			if snap.Count > 0 {
+				h.MeanUS = snap.Sum / float64(snap.Count) / 1e3
 			}
-			h.MaxUS = float64(os.Max) / float64(time.Microsecond)
-			h.Buckets = append([]int(nil), os.Buckets...)
+			h.MaxUS = snap.Max / 1e3
+			h.Buckets = snap.Counts
 		}
 		if predictedTotal > 0 {
 			h.PredictedShare = m.predictedCost[op] / predictedTotal

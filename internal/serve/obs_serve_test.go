@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"eva/internal/execute"
 	"eva/internal/obs"
 	"eva/internal/store"
 )
@@ -190,12 +189,9 @@ func TestMetricsTraceConcurrency(t *testing.T) {
 				switch g % 4 {
 				case 0:
 					s.metrics.RecordRequest("jobs_submit", 200+i%300, time.Duration(i)*time.Microsecond)
-					s.metrics.RecordExecution(execute.RunStats{
-						WallTime: time.Duration(i) * time.Microsecond,
-						PerOp: map[string]*execute.OpStats{
-							"MULTIPLY": {Count: 1, Total: time.Microsecond, Max: time.Microsecond, Buckets: make([]int, len(execute.OpLatencyBounds)+1)},
-						},
-					})
+					mul := obs.NewHistogram(obs.InstructionBoundsNS)
+					mul.Observe(float64(time.Microsecond))
+					s.metrics.RecordExecution(time.Duration(i)*time.Microsecond, map[string]*obs.Histogram{"MULTIPLY": mul})
 				case 1:
 					s.MetricsReport()
 				case 2:

@@ -5,15 +5,14 @@ import (
 	"sort"
 	"time"
 
-	"eva/internal/execute"
 	"eva/internal/obs"
 )
 
 // WritePrometheus renders the full metrics surface in the Prometheus text
 // exposition format: per-route request counters split by status class with
 // latency histograms, cache/execution counters, per-opcode latency
-// histograms (RunStats buckets converted to seconds), jobs/store/coalesce
-// gauges, and the tracer's per-phase duration histograms. The JSON report
+// histograms (the /metrics per_op_latency histograms, in seconds),
+// jobs/store/coalesce gauges, and the tracer's per-phase duration histograms. The JSON report
 // (GET /metrics) is unchanged; this is GET /metrics?format=prometheus.
 func (s *Server) WritePrometheus(w io.Writer) error {
 	p := obs.NewPromWriter(w)
@@ -57,10 +56,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Sample("eva_execution_seconds_total", nil, m.execTotal.Seconds())
 
 	if len(m.perOp) > 0 {
-		opBounds := make([]float64, len(execute.OpLatencyBounds))
-		for i, b := range execute.OpLatencyBounds {
-			opBounds[i] = b.Seconds()
-		}
 		ops := make([]string, 0, len(m.perOp))
 		for op := range m.perOp {
 			ops = append(ops, op)
@@ -68,19 +63,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		sort.Strings(ops)
 		p.Meta("eva_op_duration_seconds", "Per-opcode instruction latency across all executions.", "histogram")
 		for _, op := range ops {
-			os := m.perOp[op]
-			snap := obs.HistogramSnapshot{
-				Bounds: opBounds,
-				Counts: make([]uint64, len(opBounds)+1),
-				Sum:    os.Total.Seconds(),
-				Count:  uint64(os.Count),
-			}
-			for i, n := range os.Buckets {
-				if i < len(snap.Counts) {
-					snap.Counts[i] = uint64(n)
-				}
-			}
-			p.Histogram("eva_op_duration_seconds", map[string]string{"op": op}, snap)
+			p.Histogram("eva_op_duration_seconds", map[string]string{"op": op}, m.perOp[op].Snapshot().Scaled(1e9))
 		}
 	}
 

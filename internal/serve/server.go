@@ -1170,18 +1170,26 @@ func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry
 		return batchError("\"output\": \"values\" needs a server-keygen (demo) context; this context has no keys"), nil
 	}
 
-	// The execute span carries per-instruction progress (readable on live
-	// traces) and, after the run, the per-opcode time folded from RunStats.
+	// The executor's instruction stream fans out to the run's per-opcode
+	// latency aggregate (after the run: the execute span's op.<OP>_ms
+	// attributes and /metrics), the execute span's progress (readable on
+	// live traces), and the instruction profiler. The profiler gets the trace
+	// id so drift events in /profile link back to their /traces entry.
 	t := obs.TraceFromContext(stdctx)
 	sp := t.StartSpan("execute", obs.SpanFromContext(stdctx))
-	if sp != nil && ropts.Progress == nil {
-		ropts.Progress = sp.Progress
-	}
-	// The instruction profiler samples this run; the trace id rides along so
-	// drift events in /profile link back to their /traces entry.
-	if rec := s.profiles.Recorder(entry.ID, res, t.ID()); rec != nil {
-		ropts.OnInstruction = rec.OnInstruction
-		defer rec.Finish()
+	rec := s.profiles.Recorder(entry.ID, res, t.ID())
+	defer rec.Finish()
+	perOp := map[string]*obs.Histogram{}
+	ropts.OnInstruction = func(term *core.Term, r execute.InstrRecord) {
+		op := term.Op.String()
+		h := perOp[op]
+		if h == nil {
+			h = obs.NewHistogram(obs.InstructionBoundsNS)
+			perOp[op] = h
+		}
+		h.Observe(float64(r.Wall))
+		sp.Progress(r.Done, r.Total)
+		rec.OnInstruction(term, r)
 	}
 	if sp != nil && ropts.OnHoistedBatch == nil {
 		// Record every hoisted rotation batch the executor dispatches as a
@@ -1207,12 +1215,12 @@ func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry
 	}
 	if sp != nil {
 		sp.SetAttr("workers", strconv.Itoa(out.Stats.Workers))
-		for op, os := range out.Stats.PerOp {
-			sp.SetAttr("op."+op+"_ms", strconv.FormatFloat(float64(os.Total)/float64(time.Millisecond), 'f', 3, 64))
+		for op, h := range perOp {
+			sp.SetAttr("op."+op+"_ms", strconv.FormatFloat(h.Snapshot().Sum/1e6, 'f', 3, 64))
 		}
 		sp.End()
 	}
-	s.metrics.RecordExecution(out.Stats)
+	s.metrics.RecordExecution(out.Stats.WallTime, perOp)
 
 	result := BatchResult{
 		Stats: BatchStats{
