@@ -119,18 +119,18 @@ func RunNetwork(net *nn.Network, opts Options) (*NetworkResult, error) {
 	evaCompile := func() (*compile.Result, error) { return compile.Compile(prog, copts) }
 	chetCompile := func() (*compile.Result, error) { return chet.Compile(prog, copts) }
 
-	result.EVA, err = runPipeline("EVA", evaCompile, execute.RunOptions{Workers: opts.Workers, Scheduler: execute.SchedulerParallel}, image, refScores, net.NumClasses, opts)
+	result.EVA, err = runCompilerPipeline("EVA", evaCompile, execute.RunOptions{Workers: opts.Workers, Scheduler: execute.SchedulerParallel}, image, refScores, net.NumClasses, opts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: EVA pipeline for %s: %w", net.Name, err)
 	}
-	result.CHET, err = runPipeline("CHET", chetCompile, chet.RunOptions(opts.Workers), image, refScores, net.NumClasses, opts)
+	result.CHET, err = runCompilerPipeline("CHET", chetCompile, chet.RunOptions(opts.Workers), image, refScores, net.NumClasses, opts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: CHET pipeline for %s: %w", net.Name, err)
 	}
 	return result, nil
 }
 
-func runPipeline(name string, compileFn func() (*compile.Result, error), ropts execute.RunOptions,
+func runCompilerPipeline(name string, compileFn func() (*compile.Result, error), ropts execute.RunOptions,
 	image execute.Inputs, refScores []float64, numClasses int, opts Options) (*PipelineResult, error) {
 
 	pr := &PipelineResult{Name: name}

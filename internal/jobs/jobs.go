@@ -247,17 +247,14 @@ func (m *Manager) cancelPopped(j *job, reason string) {
 	j.mu.Lock()
 	stillQueued := j.status == StatusQueued
 	if stillQueued {
-		j.finishLocked(StatusCancelled, reason)
+		j.status = StatusCancelled // claim it; finishQueued emits the event
 	}
 	j.mu.Unlock()
 	m.mu.Lock()
 	m.queued--
 	m.mu.Unlock()
 	if stillQueued {
-		m.finalize(j, StatusCancelled, true)
-		if m.cfg.OnFinish != nil {
-			m.cfg.OnFinish(j.snapshot(), nil)
-		}
+		m.finishQueued(j, reason)
 	}
 }
 
@@ -394,12 +391,9 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 	switch j.status {
 	case StatusQueued:
 		// The worker that eventually pops it observes the status and skips.
-		j.finishLocked(StatusCancelled, "cancelled while queued")
+		j.status = StatusCancelled
 		j.mu.Unlock()
-		m.finalize(j, StatusCancelled, true)
-		if m.cfg.OnFinish != nil {
-			m.cfg.OnFinish(j.snapshot(), nil)
-		}
+		m.finishQueued(j, "cancelled while queued")
 	case StatusRunning:
 		cancel := j.cancelRun
 		j.mu.Unlock()
@@ -573,13 +567,14 @@ func (m *Manager) runJob(j *job) {
 		snap.Status, snap.Error, snap.Finished = status, msg, time.Now()
 		m.cfg.OnFinish(snap, result)
 	}
+	m.settle(j, status, false)
 	j.mu.Lock()
 	j.cancelRun = nil
 	j.result = result
 	j.finishLocked(status, msg)
 	run := j.finished.Sub(j.started)
 	j.mu.Unlock()
-	m.finalize(j, status, false)
+	m.scheduleEviction(j)
 	attrs := []any{
 		slog.String(obs.LogJobID, j.id),
 		slog.String("status", string(status)),
@@ -606,9 +601,25 @@ func (j *job) safeRun(ctx context.Context, batchDone func(int)) (result any, err
 	return j.run(ctx, batchDone)
 }
 
-// finalize releases a finished job's admission accounting, bumps the outcome
-// counters, and schedules the TTL eviction of the whole record.
-func (m *Manager) finalize(j *job, status Status, wasQueued bool) {
+// finishQueued finishes a job cancelled before it ran: accounting first,
+// then the terminal event, then the finish hook.
+func (m *Manager) finishQueued(j *job, reason string) {
+	m.settle(j, StatusCancelled, true)
+	j.mu.Lock()
+	j.finishLocked(StatusCancelled, reason)
+	j.mu.Unlock()
+	m.scheduleEviction(j)
+	if m.cfg.OnFinish != nil {
+		m.cfg.OnFinish(j.snapshot(), nil)
+	}
+}
+
+// settle releases a finishing job's admission accounting and bumps the
+// outcome counters. It runs before the terminal event is published: a caller
+// that returns when the event stream closes — a synchronous /execute — can
+// then submit again at once without being shed by a budget the finished job
+// still held, and reads counters that already include it.
+func (m *Manager) settle(j *job, status Status, wasQueued bool) {
 	m.mu.Lock()
 	m.admitted -= j.est
 	if wasQueued {
@@ -626,6 +637,10 @@ func (m *Manager) finalize(j *job, status Status, wasQueued bool) {
 		m.stats.Cancelled++
 	}
 	m.mu.Unlock()
+}
+
+// scheduleEviction drops the whole record once the result TTL has passed.
+func (m *Manager) scheduleEviction(j *job) {
 	time.AfterFunc(m.cfg.ResultTTL, func() {
 		m.mu.Lock()
 		delete(m.jobs, j.id)

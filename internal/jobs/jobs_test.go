@@ -452,3 +452,74 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 	t.Logf("accepted %d, shed %d", accepted, shed)
 }
+
+// TestAccountingSettledBeforeTerminalEvent: by the time a subscriber sees
+// the event stream close, the job's admission charge is released and its
+// outcome counted — on the run path and on the cancelled-while-queued path.
+// A synchronous caller that returns on the close can resubmit at once.
+func TestAccountingSettledBeforeTerminalEvent(t *testing.T) {
+	const est = 1000
+	m := NewManager(Config{Workers: 1, MemoryBudgetBytes: 2 * est})
+	defer m.Close()
+	// closed subscribes to a job and closes the returned channel when the
+	// job's event stream ends.
+	closed := func(id string) <-chan struct{} {
+		t.Helper()
+		_, ch, unsub, ok := m.Subscribe(id)
+		if !ok {
+			t.Fatalf("subscribe %s failed", id)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer unsub()
+			for range ch {
+			}
+			close(done)
+		}()
+		return done
+	}
+
+	release := make(chan struct{})
+	blocker, err := m.Submit(1, est, func(ctx context.Context, _ func(int)) (any, error) {
+		<-release
+		return "ok", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, blocker.ID, StatusRunning)
+	blockerClosed := closed(blocker.ID)
+	queued, err := m.Submit(1, est, func(context.Context, func(int)) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	queuedClosed := closed(queued.ID)
+	m.Cancel(queued.ID)
+	<-queuedClosed
+	if st := m.Stats(); st.AdmittedBytes != est || st.Cancelled != 1 {
+		t.Errorf("after the queued cancel: admitted %d cancelled %d; want %d and 1", st.AdmittedBytes, st.Cancelled, est)
+	}
+
+	// Settling a job takes the manager's lock. While the test holds it, a
+	// job that settles before publishing cannot end its event stream.
+	m.mu.Lock()
+	close(release)
+	select {
+	case <-blockerClosed:
+		m.mu.Unlock()
+		t.Fatal("the terminal event was published before the job's accounting was settled")
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.mu.Unlock()
+	<-blockerClosed
+	if st := m.Stats(); st.AdmittedBytes != 0 || st.Completed != 1 || st.Running != 0 {
+		t.Errorf("after the run: admitted %d completed %d running %d; want 0, 1, 0", st.AdmittedBytes, st.Completed, st.Running)
+	}
+	for i := 0; i < 50; i++ {
+		snap, err := m.Submit(1, 2*est, func(context.Context, func(int)) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatalf("submit %d right after the previous job's stream closed: %v", i, err)
+		}
+		<-closed(snap.ID)
+	}
+}

@@ -297,3 +297,31 @@ func TestExecuteDisconnectCancelsJob(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestSynchronousExecuteAtOneJobBudget: at a memory budget of exactly one
+// job's estimate, back-to-back synchronous /execute calls are never shed —
+// the finished job's charge is released before its caller is answered — and
+// /metrics read right after each answer already counts the job completed.
+func TestSynchronousExecuteAtOneJobBudget(t *testing.T) {
+	probe := newJobsFixture(t, Config{JobWorkers: 1})
+	priced, resp := postJSON[JobStatus](t, probe.client, probe.url+"/jobs", JobRequest{
+		ProgramID: probe.programID, ContextID: probe.contextID,
+		Batches: []ExecuteBatch{{Values: probe.inputs}},
+	})
+	if resp.StatusCode != http.StatusAccepted || priced.EstBytes <= 0 {
+		t.Fatalf("pricing one job: status %d est %d", resp.StatusCode, priced.EstBytes)
+	}
+
+	f := newJobsFixture(t, Config{JobWorkers: 1, JobMemoryBudgetBytes: priced.EstBytes})
+	req := ExecuteRequest{ContextID: f.contextID, Batches: []ExecuteBatch{{Values: f.inputs}}}
+	for i := 1; i <= 40; i++ {
+		out, resp := postJSON[ExecuteResponse](t, f.client, f.url+"/execute/"+f.programID, req)
+		if resp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].Error != "" {
+			t.Fatalf("call %d: status %d with %d results; want 200", i, resp.StatusCode, len(out.Results))
+		}
+		jobs := getJSON[MetricsReport](t, f.client, f.url+"/metrics").Jobs
+		if jobs.AdmittedBytes != 0 || jobs.Completed != uint64(i) || jobs.Running != 0 {
+			t.Fatalf("after call %d: admitted %d completed %d running %d; want 0, %d, 0", i, jobs.AdmittedBytes, jobs.Completed, jobs.Running, i)
+		}
+	}
+}

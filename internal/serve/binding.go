@@ -3,17 +3,17 @@ package serve
 import (
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
+	"eva/internal/core"
 	"eva/internal/execute"
 	"eva/internal/handle"
 )
 
 // InputBinding is one wire-level input binding, shared by every execution
-// entry point: /execute and /jobs batches (via ExecuteBatch.binding),
+// entry point: /execute and /jobs batches (via ExecuteBatch.bindings),
 // coalesced submissions that fall back to the uncoalesced path, and pipeline
 // stages (where PipelineInput is an alias of this type). Exactly one source
 // must be set for a Cipher program input: Handle (a stored handle id), Stage
@@ -31,27 +31,39 @@ type InputBinding struct {
 	Plain  []float64 `json:"plain,omitempty"`
 }
 
-// binding folds one input's wire fields into the shared InputBinding view, so
-// the batch entry points resolve inputs through the same code path as
-// pipeline stages.
-func (b *ExecuteBatch) binding(name string) InputBinding {
-	return InputBinding{
-		Cipher: b.Cipher[name],
-		Handle: b.Handles[name],
-		Plain:  b.Plain[name],
-		Values: b.Values[name],
+// bindings folds a batch's per-source maps into the InputBinding view, so a
+// batch resolves exactly like a one-stage pipeline with no earlier stages.
+// An input named in none of the maps has no binding.
+func (b *ExecuteBatch) bindings() map[string]InputBinding {
+	m := map[string]InputBinding{}
+	for name := range b.Cipher {
+		m[name] = InputBinding{}
 	}
+	for name := range b.Handles {
+		m[name] = InputBinding{}
+	}
+	for name := range b.Plain {
+		m[name] = InputBinding{}
+	}
+	for name := range b.Values {
+		m[name] = InputBinding{}
+	}
+	for name := range m {
+		m[name] = InputBinding{
+			Cipher: b.Cipher[name],
+			Handle: b.Handles[name],
+			Plain:  b.Plain[name],
+			Values: b.Values[name],
+		}
+	}
+	return m
 }
 
-// bindingResolver resolves InputBindings against one (context, program) pair.
-// It owns the per-program chaining requirements (input level floors, the
-// parameter fingerprint), computed lazily on the first handle or stage edge,
-// and shares one handleCache across everything resolved for a request.
-//
-// The resolver returns errors without an entry-point prefix — callers add
-// their own ("input %q:" on the batch paths, "stage %d: input %q:" on
-// pipelines) — except chaining violations, which come back as *compatError so
-// handlers can map them to structured 422s.
+// bindingResolver resolves InputBindings against one (context, program) pair
+// for resolveStage. It owns the per-program chaining requirements (input
+// level floors, the parameter fingerprint), computed lazily on the first
+// handle or stage edge, and shares one handleCache across everything
+// resolved for a request.
 type bindingResolver struct {
 	s        *Server
 	ce       *contextEntry
@@ -81,18 +93,78 @@ func (r *bindingResolver) want(name string, logScale float64) handle.Want {
 }
 
 // plain resolves a Plain program input from its binding: Plain takes
-// precedence over Values. ok reports whether the binding carried either; the
-// caller renders its own missing-value error when it did not.
-func (r *bindingResolver) plain(name string, b InputBinding) (full []float64, ok bool, err error) {
+// precedence over Values.
+func (r *bindingResolver) plain(name string, b InputBinding) ([]float64, error) {
 	v := b.Plain
 	if v == nil {
 		v = b.Values
 	}
 	if v == nil {
-		return nil, false, nil
+		return nil, fmt.Errorf("plain input %q needs \"plain\" values", name)
 	}
-	full, err = execute.PreparePlain(r.res, name, v)
-	return full, true, err
+	return execute.PreparePlain(r.res, name, v)
+}
+
+// bindCipher binds one Cipher input of st from its single source. A chaining
+// violation comes back as the bare *handle.Mismatch; errors carry no input
+// prefix, which resolveStage adds.
+func (r *bindingResolver) bindCipher(stdctx context.Context, st *stage, in *core.Term, b InputBinding, earlier []*stage) error {
+	sources := 0
+	for _, set := range []bool{b.Handle != "", b.Stage != nil, b.Cipher != "", b.Values != nil} {
+		if set {
+			sources++
+		}
+	}
+	if sources != 1 {
+		return fmt.Errorf("needs exactly one of \"handle\", \"stage\", \"cipher\", or \"values\"")
+	}
+	switch {
+	case b.Values != nil:
+		if n, width := len(b.Values), r.res.Program.VecSize; n == 0 || n > width {
+			return fmt.Errorf("has %d values; want 1..%d", n, width)
+		}
+		if r.ce.Keys == nil {
+			return fmt.Errorf("plaintext \"values\" need a server-keygen (demo) context; this context has no keys")
+		}
+		st.values[in.Name] = b.Values
+	case b.Cipher != "":
+		ct, err := r.cipherFromWire(b.Cipher)
+		if err != nil {
+			return err
+		}
+		st.in.Cipher[in.Name] = ct
+		st.entryLevel = min(st.entryLevel, ct.Level)
+	case b.Handle != "":
+		rh, err := r.cipherFromHandle(stdctx, in.Name, b.Handle, in.LogScale)
+		if err != nil {
+			return err
+		}
+		st.in.Cipher[in.Name] = rh.ct
+		st.entryLevel = min(st.entryLevel, rh.meta.Level)
+	default:
+		j := *b.Stage
+		if j < 0 || j >= len(earlier) {
+			return fmt.Errorf("references stage %d; stages may only consume earlier stages", j)
+		}
+		out := b.Output
+		if out == "" {
+			var err error
+			if out, err = defaultCipherOutput(earlier[j].entry); err != nil {
+				return err
+			}
+		}
+		meta, err := producerMeta(earlier[j], out)
+		if err != nil {
+			return err
+		}
+		meta.ID = fmt.Sprintf("stage[%d].%s", j, out)
+		if err := meta.Check(r.want(in.Name, in.LogScale)); err != nil {
+			return err
+		}
+		st.refs[in.Name] = stageRef{stage: j, output: out}
+		st.entryLevel = min(st.entryLevel, meta.Level)
+	}
+	return nil
 }
 
 // cipherFromWire decodes an inline base64 ciphertext and validates it against
@@ -114,19 +186,15 @@ func (r *bindingResolver) cipherFromWire(b64 string) (*ckks.Ciphertext, error) {
 }
 
 // cipherFromHandle resolves a handle reference (locally or from a peer) and
-// checks it against the consuming input's chaining requirements. Chaining
-// violations come back as *compatError; a resolution failure wraps
-// handle.ErrNotFound for status mapping.
+// checks it against the consuming input's chaining requirements before its
+// ciphertext is validated. A resolution failure wraps handle.ErrNotFound for
+// status mapping.
 func (r *bindingResolver) cipherFromHandle(stdctx context.Context, name, id string, logScale float64) (*resolvedHandle, error) {
 	rh, err := r.s.resolveHandle(stdctx, id, r.cache)
 	if err != nil {
 		return nil, err
 	}
 	if err := rh.meta.Check(r.want(name, logScale)); err != nil {
-		var m *handle.Mismatch
-		if errors.As(err, &m) {
-			return nil, &compatError{input: name, mismatch: m}
-		}
 		return nil, err
 	}
 	if err := rh.ct.Validate(r.ce.Ctx.Params); err != nil {

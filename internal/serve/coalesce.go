@@ -69,9 +69,9 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 		s.runUncoalesced(w, r, req)
 		return
 	}
-	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
+	ce, entry, err := s.resolveExecution(req.ProgramID, req.ContextID)
 	if err != nil {
-		writeError(w, status, "%v", err)
+		s.writeInputError(w, err)
 		return
 	}
 	if len(req.Batches) != 1 {
@@ -168,27 +168,16 @@ func (s *Server) handleCoalescedSubmit(w http.ResponseWriter, r *http.Request, r
 // keep their structured statuses (422 chaining, 404 unknown handle); the run
 // itself reports errors in the result body like /execute does.
 func (s *Server) runUncoalesced(w http.ResponseWriter, r *http.Request, req *JobRequest) {
-	p, status, err := s.planExecution(r.Context(), req)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	if p.errs[0] != nil {
-		s.writeInputError(w, p.errs[0])
-		return
-	}
 	start := time.Now()
-	results := make([]BatchResult, 1)
-	if !s.runAndWait(w, r, 1, p.estimate(), func(jctx context.Context, batchDone func(int)) error {
-		return s.runPlan(jctx, p, results, batchDone)
-	}) {
+	stages, results, ok := s.executeAndWait(w, r, req, true)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, CoalesceResponse{
-		ProgramID:  p.entry.ID,
-		ContextID:  p.ce.ID,
+		ProgramID:  req.ProgramID,
+		ContextID:  req.ContextID,
 		BatchSize:  1,
-		Slot:       coalesce.Range{Start: 0, Width: p.entry.Result.Program.VecSize},
+		Slot:       coalesce.Range{Start: 0, Width: stages[0].entry.Result.Program.VecSize},
 		Occupancy:  1,
 		WaitMillis: float64(time.Since(start)) / float64(time.Millisecond),
 		Result:     results[0],
@@ -209,7 +198,7 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 
 	// Re-resolve: the context may have been LRU-evicted (and store-restored)
 	// between submission and seal.
-	ce, entry, _, err := s.resolveExecution(b.Key.Program, b.Key.Context)
+	ce, entry, err := s.resolveExecution(b.Key.Program, b.Key.Context)
 	if err != nil {
 		b.FailAll(err)
 		return
@@ -220,7 +209,7 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 
 	packSpan := bt.StartSpan("coalesce_pack", nil)
 	packSpan.SetAttr("callers", strconv.Itoa(len(reqs)))
-	packed := &ExecuteBatch{Values: map[string][]float64{}, Plain: map[string][]float64{}}
+	packed := make(map[string]InputBinding, len(prog.Inputs()))
 	for _, in := range prog.Inputs() {
 		per := make([][]float64, len(reqs))
 		for j, req := range reqs {
@@ -232,33 +221,35 @@ func (s *Server) runCoalescedBatch(b *coalesce.Batch) {
 			return
 		}
 		if in.InType == core.TypeCipher {
-			packed.Values[in.Name] = vec
+			packed[in.Name] = InputBinding{Values: vec}
 		} else {
-			packed.Plain[in.Name] = vec
+			packed[in.Name] = InputBinding{Plain: vec}
 		}
 	}
 	packSpan.End()
 
-	// The packed batch is resolved and charged like any other: once for the
-	// whole batch — one fresh ciphertext per encrypted input, not per
-	// caller, and the cost model's peak once.
-	decoded, err := s.buildBatchInputs(context.Background(), ce, entry.Result, packed, nil)
+	// The packed batch is resolved and charged like any other stage: once
+	// for the whole batch — one fresh ciphertext per encrypted input, not
+	// per caller, and the cost model's peak once.
+	st, err := s.resolveStage(context.Background(), ce, entry, packed, "", nil, nil)
 	if err != nil {
 		b.FailAll(err)
 		return
 	}
-	est := estimateAdmissionBytes([]admissionUnit{batchUnit(entry.Result, decoded)})
+	stages := []*stage{st}
 	ropts, _ := s.runOptions(0, "") // shared runs use the server's defaults
-	snap, err := s.enqueue(obs.ContextWithTrace(context.Background(), bt), 1, est, func(jctx context.Context, batchDone func(int)) (any, error) {
+	snap, err := s.enqueue(obs.ContextWithTrace(context.Background(), bt), 1, estimateAdmissionBytes(stages), func(jctx context.Context, batchDone func(int)) (any, error) {
 		start := time.Now()
-		result, _ := s.runBatch(jctx, entry, ce, packed, decoded, ropts, "")
+		results, err := s.runStages(jctx, stages, ropts, false, batchDone)
 		b.Done(time.Since(start))
-		batchDone(0)
-		if result.Error != "" {
-			err := fmt.Errorf("coalesced execution: %s", result.Error)
+		if err == nil && results[0].Error != "" {
+			err = fmt.Errorf("coalesced execution: %s", results[0].Error)
+		}
+		if err != nil {
 			b.FailAll(err)
 			return nil, err
 		}
+		result := results[0]
 		demuxSpan := bt.StartSpan("coalesce_demux", nil)
 		defer demuxSpan.End()
 		perCaller := make([]BatchResult, len(reqs))

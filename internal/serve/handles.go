@@ -9,14 +9,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"net/http"
 
 	"eva/internal/ckks"
 	"eva/internal/compile"
 	"eva/internal/core"
-	"eva/internal/execute"
 	"eva/internal/handle"
 )
 
@@ -196,137 +194,6 @@ func (s *Server) storeOutputHandle(ce *contextEntry, res *compile.Result, ct *ck
 		return "", err
 	}
 	return meta.ID, nil
-}
-
-// Incompat is one structured chaining rejection in a 422 body: which stage
-// and input is incompatible with its supplied handle (or upstream stage
-// output), on which property, with both sides rendered.
-type Incompat struct {
-	Stage    int    `json:"stage,omitempty"`
-	Input    string `json:"input"`
-	HandleID string `json:"handle,omitempty"`
-	Field    string `json:"field"`
-	Want     string `json:"want"`
-	Got      string `json:"got"`
-}
-
-// compatError wraps a handle.Mismatch with the consuming input, so handlers
-// can map it to a structured 422 while runBatch renders it as text.
-type compatError struct {
-	input    string
-	mismatch *handle.Mismatch
-}
-
-func (e *compatError) Error() string {
-	return fmt.Sprintf("input %q: %v", e.input, e.mismatch)
-}
-
-func (e *compatError) Unwrap() error { return e.mismatch }
-
-func (e *compatError) incompat() Incompat {
-	return Incompat{
-		Input:    e.input,
-		HandleID: e.mismatch.HandleID,
-		Field:    e.mismatch.Field,
-		Want:     e.mismatch.Want,
-		Got:      e.mismatch.Got,
-	}
-}
-
-// writeInputError maps an input-resolution failure to its status: chaining
-// incompatibilities are structured 422s, unknown handles 404s, quota
-// exhaustion 507, and everything else a plain 400.
-func (s *Server) writeInputError(w http.ResponseWriter, err error) {
-	var ce *compatError
-	switch {
-	case errors.As(err, &ce):
-		writeJSON(w, http.StatusUnprocessableEntity, apiError{
-			Error:             err.Error(),
-			Incompatibilities: []Incompat{ce.incompat()},
-		})
-	case errors.Is(err, handle.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, handle.ErrQuotaExceeded):
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	}
-}
-
-// buildBatchInputs resolves one batch's wire inputs at admission: inline
-// base64 ciphertexts are decoded and validated, handle references are
-// resolved (locally or from a peer) and checked against the consuming
-// program's compiled level/scale/width requirements, and plain inputs are
-// replicated. Demo-mode plaintext values for Cipher inputs are only checked:
-// the job worker encrypts them when the batch runs (completeInputs).
-func (s *Server) buildBatchInputs(stdctx context.Context, ce *contextEntry, res *compile.Result, batch *ExecuteBatch, cache handleCache) (*execute.EncryptedInputs, error) {
-	enc := &execute.EncryptedInputs{
-		Cipher: map[string]*ckks.Ciphertext{},
-		Plain:  map[string][]float64{},
-	}
-	br := s.newBindingResolver(ce, res, cache)
-	for _, in := range res.Program.Inputs() {
-		b := batch.binding(in.Name)
-		if in.InType != core.TypeCipher {
-			full, ok, err := br.plain(in.Name, b)
-			if !ok {
-				return nil, fmt.Errorf("missing value for plain input %q", in.Name)
-			}
-			if err != nil {
-				return nil, err
-			}
-			enc.Plain[in.Name] = full
-			continue
-		}
-		switch {
-		case b.Cipher != "":
-			ct, err := br.cipherFromWire(b.Cipher)
-			if err != nil {
-				return nil, fmt.Errorf("input %q: %w", in.Name, err)
-			}
-			enc.Cipher[in.Name] = ct
-		case b.Handle != "":
-			rh, err := br.cipherFromHandle(stdctx, in.Name, b.Handle, in.LogScale)
-			if err != nil {
-				var cerr *compatError
-				if errors.As(err, &cerr) {
-					return nil, err
-				}
-				return nil, fmt.Errorf("input %q: %w", in.Name, err)
-			}
-			enc.Cipher[in.Name] = rh.ct
-		case b.Values != nil:
-			if ce.Keys == nil {
-				return nil, fmt.Errorf("plaintext \"values\" need a server-keygen (demo) context; this context has no keys")
-			}
-		default:
-			return nil, fmt.Errorf("missing ciphertext for input %q (supply \"cipher\", \"handles\", or demo \"values\")", in.Name)
-		}
-	}
-	return enc, nil
-}
-
-// completeInputs returns a batch's full executor inputs inside its job:
-// decoded as resolved at admission, plus the batch's demo-mode values for
-// the Cipher inputs still missing, encrypted now. decoded itself is left
-// untouched.
-func completeInputs(ce *contextEntry, res *compile.Result, batch *ExecuteBatch, decoded *execute.EncryptedInputs) (*execute.EncryptedInputs, error) {
-	pending := execute.Inputs{}
-	for _, in := range res.Program.Inputs() {
-		if _, ok := decoded.Cipher[in.Name]; in.InType == core.TypeCipher && !ok {
-			pending[in.Name] = batch.Values[in.Name]
-		}
-	}
-	if len(pending) == 0 {
-		return decoded, nil
-	}
-	cts, d, err := execute.EncryptSelected(ce.Ctx, res, ce.Keys, pending, nil)
-	if err != nil {
-		return nil, fmt.Errorf("encrypting values: %v", err)
-	}
-	enc := &execute.EncryptedInputs{Cipher: maps.Clone(decoded.Cipher), Plain: decoded.Plain, EncryptTime: decoded.EncryptTime + d}
-	maps.Copy(enc.Cipher, cts)
-	return enc, nil
 }
 
 // --- /handles handlers ---

@@ -10,10 +10,6 @@ import (
 	"runtime"
 	"time"
 
-	"eva/internal/analysis"
-	"eva/internal/ckks"
-	"eva/internal/compile"
-	"eva/internal/core"
 	"eva/internal/execute"
 	"eva/internal/jobs"
 	"eva/internal/obs"
@@ -30,8 +26,9 @@ import (
 //
 // Every execution entry point runs as one such job: /jobs, /pipelines and
 // each sealed coalesced batch through enqueue, and the synchronous /execute
-// and the unpackable coalesce=1 fallback through runAndWait, which enqueues
-// and then waits for the job. So the budget bounds all of them alike.
+// and the unpackable coalesce=1 fallback through executeAndWait, which
+// enqueues and then waits for the job. So the budget bounds all of them
+// alike. Each job runs its resolved stages through runStages (stage.go).
 
 // JobRequest is the body of POST /jobs — the asynchronous counterpart of
 // ExecuteRequest, plus the program id (which /execute carries in the path).
@@ -92,146 +89,43 @@ func jobStatusJSON(s jobs.Snapshot) JobStatus {
 	return js
 }
 
-// admissionUnit is one batch or pipeline stage as admission control sees
-// it: the program it runs, its inputs resolved at submit, and how many
-// demo-mode plaintext values the worker will still encrypt for it.
-type admissionUnit struct {
-	res     *compile.Result
-	in      *execute.EncryptedInputs
-	pending int
-}
-
-// estimateAdmissionBytes is the admission estimate of every execution path:
-// the resident footprint of one job. Each distinct input ciphertext the job
-// pins while queued counts once, by pointer — a resolved handle shared by
-// many batches or stages is one allocation. Plain vectors count by their
-// size, every pending demo value by a fresh-ciphertext placeholder, and the
-// intermediates by the cost model's largest static peak across units: units
-// run one after another inside the job, so their peaks never stack.
-func estimateAdmissionBytes(units []admissionUnit) int64 {
-	var est, peak int64
-	seen := map[*ckks.Ciphertext]bool{}
-	peaks := map[*compile.Result]bool{}
-	for _, u := range units {
-		for _, ct := range u.in.Cipher {
-			if !seen[ct] {
-				seen[ct] = true
-				est += int64(ct.MemoryBytes())
-			}
-		}
-		for _, pv := range u.in.Plain {
-			est += int64(8 * len(pv))
-		}
-		res := u.res
-		freshCt := 2 * int64(len(res.Plan.BitSizes)) * (int64(1) << uint(res.LogN)) * 8
-		est += int64(u.pending) * freshCt
-		if !peaks[res] {
-			peaks[res] = true
-			model := analysis.CostModel{LogN: res.LogN, TotalLevels: len(res.Plan.BitSizes)}
-			peak = max(peak, model.EstimatePeakMemoryBytes(res.Program))
-		}
-	}
-	return est + peak
-}
-
-// batchUnit is the admission unit of a batch resolved by buildBatchInputs:
-// every Cipher input it has no ciphertext for is a demo value the worker
-// still encrypts.
-func batchUnit(res *compile.Result, in *execute.EncryptedInputs) admissionUnit {
-	u := admissionUnit{res: res, in: in}
-	for _, t := range res.Program.Inputs() {
-		if _, ok := in.Cipher[t.Name]; t.InType == core.TypeCipher && !ok {
-			u.pending++
-		}
-	}
-	return u
-}
-
-// execPlan is a batch request (/execute, /jobs, or a coalesce=1 submission
-// that cannot be packed) resolved at admission.
-type execPlan struct {
-	entry   *Entry
-	ce      *contextEntry
-	batches []ExecuteBatch
-	// decoded holds each batch's inputs resolved at submit; errs the
-	// resolution failure of a batch that cannot run.
-	decoded []*execute.EncryptedInputs
-	errs    []error
-	ropts   execute.RunOptions
-	output  string
-}
-
-// planExecution validates a batch request and resolves every batch's
-// inputs: inline ciphertexts are decoded and validated and handles resolved
-// and checked, while demo-mode plaintext values are only counted — the
-// worker encrypts them when the batch runs. Request-level problems return
-// an HTTP status and error. A batch whose inputs do not resolve keeps its
-// error in errs: /jobs rejects the submission over it, /execute reports it
-// in that batch's result.
-func (s *Server) planExecution(stdctx context.Context, req *JobRequest) (*execPlan, int, error) {
-	ce, entry, status, err := s.resolveExecution(req.ProgramID, req.ContextID)
+// resolveBatches resolves a batch request — /execute, /jobs, or a coalesce=1
+// submission that cannot be packed — at admission. Every batch becomes an
+// independent one-stage pipeline, resolved through ExecuteBatch.bindings
+// with no earlier stages and one handle cache for the whole request, so a
+// handle referenced by many batches is resolved, and charged, once. A
+// request-level problem is returned as the error; a batch that does not
+// resolve becomes a stage carrying only its error, which /jobs and the
+// fallback reject (firstStageError) and /execute reports as that batch's
+// result.
+func (s *Server) resolveBatches(stdctx context.Context, req *JobRequest) ([]*stage, execute.RunOptions, error) {
+	ce, entry, err := s.resolveExecution(req.ProgramID, req.ContextID)
 	if err != nil {
-		return nil, status, err
+		return nil, execute.RunOptions{}, err
 	}
 	if len(req.Batches) == 0 {
-		return nil, http.StatusBadRequest, errors.New("no batches")
+		return nil, execute.RunOptions{}, errors.New("no batches")
 	}
 	if len(req.Batches) > maxBatchesPerRequest {
-		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
+		return nil, execute.RunOptions{}, errStatus(http.StatusRequestEntityTooLarge, "%d batches exceeds the per-request limit of %d", len(req.Batches), maxBatchesPerRequest)
 	}
 	ropts, err := s.runOptions(req.Workers, req.Scheduler)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, ropts, err
 	}
 	if err := validOutputMode(req.Output); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, ropts, err
 	}
-	p := &execPlan{
-		entry:   entry,
-		ce:      ce,
-		batches: req.Batches,
-		decoded: make([]*execute.EncryptedInputs, len(req.Batches)),
-		errs:    make([]error, len(req.Batches)),
-		ropts:   ropts,
-		output:  req.Output,
-	}
-	// One handle cache for all batches: a handle referenced by many batches
-	// is resolved once, and counted once by the estimate.
 	cache := newHandleCache()
-	for i := range p.batches {
-		p.decoded[i], p.errs[i] = s.buildBatchInputs(stdctx, ce, entry.Result, &p.batches[i], cache)
-	}
-	return p, http.StatusOK, nil
-}
-
-// estimate is the plan's admission charge over its runnable batches.
-func (p *execPlan) estimate() int64 {
-	var units []admissionUnit
-	for i, in := range p.decoded {
-		if p.errs[i] == nil {
-			units = append(units, batchUnit(p.entry.Result, in))
+	stages := make([]*stage, len(req.Batches))
+	for i := range req.Batches {
+		st, err := s.resolveStage(stdctx, ce, entry, req.Batches[i].bindings(), req.Output, nil, cache)
+		if err != nil {
+			st = &stage{err: err}
 		}
+		stages[i] = st
 	}
-	return estimateAdmissionBytes(units)
-}
-
-// runPlan executes the plan's batches in order inside its job, filling results;
-// a batch that failed resolution gets its error as its result.
-func (s *Server) runPlan(jctx context.Context, p *execPlan, results []BatchResult, batchDone func(int)) error {
-	for i := range p.batches {
-		if err := jctx.Err(); err != nil {
-			return err
-		}
-		if p.errs[i] != nil {
-			s.metrics.RecordExecutionError()
-			results[i] = batchError("%v", p.errs[i])
-		} else {
-			results[i], _ = s.runBatch(jctx, p.entry, p.ce, &p.batches[i], p.decoded[i], p.ropts, p.output)
-			p.decoded[i] = nil // release the pinned inputs as batches complete
-		}
-		batchDone(i)
-	}
-	return nil
+	return stages, ropts, nil
 }
 
 // enqueue is the one submission path of every execution entry point. It
@@ -275,24 +169,39 @@ func (s *Server) enqueue(ctx context.Context, batches int, est int64, run jobs.R
 	return snap, nil
 }
 
-// runAndWait is the synchronous face of the job path: it enqueues run as one
-// admission-controlled job and blocks until the job's terminal event, so the
-// results come back through run's closure and the job itself retains
-// nothing. It reports whether the job finished and the caller should write
-// its response; otherwise the error response is already written. A client
-// that disconnects cancels the job and gets no answer.
-func (s *Server) runAndWait(w http.ResponseWriter, r *http.Request, batches int, est int64, run func(context.Context, func(int)) error) bool {
-	snap, err := s.enqueue(r.Context(), batches, est, func(jctx context.Context, batchDone func(int)) (any, error) {
-		return nil, run(jctx, batchDone)
+// executeAndWait is the one body of the synchronous routes, /execute and
+// the unpackable coalesce=1 fallback: it resolves the batches, enqueues them
+// as one admission-controlled job and blocks until the job's terminal event,
+// so the results come back through the job's closure and the job itself
+// retains nothing. failFast rejects the request over a batch that does not
+// resolve, as /jobs does; otherwise that batch's error is its result. It
+// returns the stages and their results, or ok=false when the error response
+// is already written. A client that disconnects cancels the job and gets no
+// answer.
+func (s *Server) executeAndWait(w http.ResponseWriter, r *http.Request, req *JobRequest, failFast bool) ([]*stage, []BatchResult, bool) {
+	stages, ropts, err := s.resolveBatches(r.Context(), req)
+	if err == nil && failFast {
+		err = firstStageError(stages)
+	}
+	if err != nil {
+		s.writeInputError(w, err)
+		return nil, nil, false
+	}
+	// The job writes results; they are read only after its terminal event.
+	var results []BatchResult
+	snap, err := s.enqueue(r.Context(), len(stages), estimateAdmissionBytes(stages), func(jctx context.Context, batchDone func(int)) (any, error) {
+		var err error
+		results, err = s.runStages(jctx, stages, ropts, false, batchDone)
+		return nil, err
 	})
 	if err != nil {
 		s.writeAdmissionError(w, err)
-		return false
+		return nil, nil, false
 	}
 	history, ch, unsubscribe, ok := s.jobs.Subscribe(snap.ID)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "job %s was evicted before it could be awaited", snap.ID)
-		return false
+		return nil, nil, false
 	}
 	defer unsubscribe()
 	final := history[len(history)-1]
@@ -300,7 +209,7 @@ func (s *Server) runAndWait(w http.ResponseWriter, r *http.Request, batches int,
 		select {
 		case <-r.Context().Done():
 			s.jobs.Cancel(snap.ID)
-			return false
+			return nil, nil, false
 		case e, more := <-ch:
 			if more {
 				final = e
@@ -310,13 +219,13 @@ func (s *Server) runAndWait(w http.ResponseWriter, r *http.Request, batches int,
 	}
 	switch jobs.Status(final.Type) {
 	case jobs.StatusDone:
-		return true
+		return stages, results, true
 	case jobs.StatusCancelled:
 		writeError(w, http.StatusServiceUnavailable, "job %s cancelled: %s", snap.ID, final.Error)
 	default:
 		writeError(w, http.StatusInternalServerError, "job %s failed: %s", snap.ID, final.Error)
 	}
-	return false
+	return nil, nil, false
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -329,26 +238,25 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.handleCoalescedSubmit(w, r, &req)
 		return
 	}
-	p, status, err := s.planExecution(r.Context(), &req)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
 	// Submissions fail fast: 400 for malformed inputs, structured 422 for
 	// incompatible handle chaining, 404 for unknown handles.
-	for i, err := range p.errs {
-		if err != nil {
-			s.writeInputError(w, fmt.Errorf("batch %d: %w", i, err))
-			return
-		}
+	stages, ropts, err := s.resolveBatches(r.Context(), &req)
+	if err == nil {
+		err = firstStageError(stages)
 	}
-	results := make([]BatchResult, len(p.batches))
-	snap, err := s.enqueue(r.Context(), len(p.batches), p.estimate(), func(jctx context.Context, batchDone func(int)) (any, error) {
-		if err := s.runPlan(jctx, p, results, batchDone); err != nil {
-			return nil, err
-		}
-		return results, nil
+	if err != nil {
+		s.writeInputError(w, err)
+		return
+	}
+	snap, err := s.enqueue(r.Context(), len(stages), estimateAdmissionBytes(stages), func(jctx context.Context, batchDone func(int)) (any, error) {
+		return s.runStages(jctx, stages, ropts, false, batchDone)
 	})
+	s.writeSubmitted(w, r, snap, err)
+}
+
+// writeSubmitted answers an asynchronous submission (/jobs, /pipelines):
+// 202 with the job's status and Location, or the admission rejection.
+func (s *Server) writeSubmitted(w http.ResponseWriter, r *http.Request, snap jobs.Snapshot, err error) {
 	if err != nil {
 		s.writeAdmissionError(w, err)
 		return
@@ -485,16 +393,16 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // an execute or job request, refreshing LRU recency. A context missing from
 // the in-memory table (restart, LRU eviction) is restored from the durable
 // store, so execution against a context id survives both.
-func (s *Server) resolveExecution(programID, contextID string) (*contextEntry, *Entry, int, error) {
+func (s *Server) resolveExecution(programID, contextID string) (*contextEntry, *Entry, error) {
 	ce, ok := s.lookupContext(contextID)
 	if !ok {
-		return nil, nil, http.StatusNotFound, fmt.Errorf("unknown context %q; POST /contexts first", contextID)
+		return nil, nil, errStatus(http.StatusNotFound, "unknown context %q; POST /contexts first", contextID)
 	}
 	if ce.Entry.ID != programID {
-		return nil, nil, http.StatusConflict, fmt.Errorf("context %q belongs to program %q, not %q", contextID, ce.Entry.ID, programID)
+		return nil, nil, errStatus(http.StatusConflict, "context %q belongs to program %q, not %q", contextID, ce.Entry.ID, programID)
 	}
 	s.registry.Get(programID) // refresh recency if still cached
-	return ce, ce.Entry, http.StatusOK, nil
+	return ce, ce.Entry, nil
 }
 
 // runOptions resolves the per-request scheduler/worker knobs against the

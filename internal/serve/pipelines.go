@@ -1,18 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
-	"eva/internal/ckks"
-	"eva/internal/core"
 	"eva/internal/execute"
-	"eva/internal/handle"
-	"eva/internal/obs"
 )
 
 // POST /pipelines executes a validated DAG of compiled program stages
@@ -24,7 +20,7 @@ import (
 // fingerprint — at submit time and rejects incompatible chaining with a
 // structured 422 before anything runs. The whole pipeline is one job through
 // internal/jobs (admission control, SSE progress per stage, cancel, result
-// fetch-once), with a per-stage span recorded in the request trace.
+// fetch-once) whose stages run by runStages, each under one execute span.
 
 // PipelineInput is one input binding of a pipeline stage — the shared
 // InputBinding shape used by every execution entry point; see InputBinding
@@ -53,323 +49,70 @@ type PipelineRequest struct {
 // program execution, so the cap mirrors maxBatchesPerRequest in spirit.
 const maxPipelineStages = 64
 
-// stageRef is a resolved stage-to-stage edge: which earlier stage's output
-// feeds which input.
-type stageRef struct {
-	stage  int
-	output string
-}
-
-// pipelineStagePlan is one stage after validation: everything the runner
-// needs, with all submit-time-resolvable inputs already resolved.
-type pipelineStagePlan struct {
-	entry   *Entry
-	ce      *contextEntry
-	pre     *execute.EncryptedInputs // decoded ciphers + plain inputs
-	refs    map[string]stageRef      // input name -> upstream stage output
-	values  map[string][]float64     // demo values, encrypted at run time
-	outMode string
-	// entryLevel is the level the stage's cipher inputs enter at: fresh
-	// encryptions start at MaxLevel, chained/handle inputs lower it. The
-	// stage's own outputs sit len(chain) rescales below it.
-	entryLevel int
-}
-
-// producerMeta is the statically known metadata of a stage's encrypted
-// output, playing the role of a handle's Meta for edges that exist only
-// inside the pipeline: the stage's entry level minus the compiled chain
-// length fixes the output level, the compiled scale its log2 scale.
-func producerMeta(plan *pipelineStagePlan, outName string) (handle.Meta, error) {
-	res := plan.entry.Result
-	for _, out := range res.Program.Outputs() {
-		if out.Name != outName {
-			continue
-		}
-		if res.Types[out.Term] != core.TypeCipher {
-			return handle.Meta{}, fmt.Errorf("output %q of program %s is not encrypted", outName, plan.entry.ID)
-		}
-		return handle.Meta{
-			ContextID: plan.ce.ID,
-			ParamsID:  paramsFingerprint(plan.ce.Ctx.Params),
-			Level:     plan.entryLevel - len(res.Chains[out.Term]),
-			LogScale:  res.Scales[out.Term],
-			Width:     res.Program.VecSize,
-		}, nil
-	}
-	return handle.Meta{}, fmt.Errorf("program %s has no output %q", plan.entry.ID, outName)
-}
-
-// defaultCipherOutput returns the producer's single encrypted output name,
-// erroring when the choice is ambiguous.
-func defaultCipherOutput(entry *Entry) (string, error) {
-	res := entry.Result
-	var name string
-	for _, out := range res.Program.Outputs() {
-		if res.Types[out.Term] != core.TypeCipher {
-			continue
-		}
-		if name != "" {
-			return "", fmt.Errorf("program %s has several encrypted outputs; name one with \"output\"", entry.ID)
-		}
-		name = out.Name
-	}
-	if name == "" {
-		return "", fmt.Errorf("program %s has no encrypted output to chain", entry.ID)
-	}
-	return name, nil
-}
-
 func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 	var req PipelineRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if len(req.Stages) == 0 {
-		writeError(w, http.StatusBadRequest, "no stages")
+	stages, ropts, err := s.resolvePipeline(r.Context(), &req)
+	if err != nil {
+		s.writeInputError(w, err)
 		return
 	}
+	snap, err := s.enqueue(r.Context(), len(stages), estimateAdmissionBytes(stages), func(jctx context.Context, batchDone func(int)) (any, error) {
+		return s.runStages(jctx, stages, ropts, true, batchDone)
+	})
+	s.writeSubmitted(w, r, snap, err)
+}
+
+// resolvePipeline validates the whole DAG before anything runs. Structural
+// errors fail at once; chaining incompatibilities are collected across every
+// edge of every stage (not first-failure), so the 422 body names every bad
+// edge at once.
+func (s *Server) resolvePipeline(stdctx context.Context, req *PipelineRequest) ([]*stage, execute.RunOptions, error) {
+	if len(req.Stages) == 0 {
+		return nil, execute.RunOptions{}, errors.New("no stages")
+	}
 	if len(req.Stages) > maxPipelineStages {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d stages exceeds the pipeline limit of %d", len(req.Stages), maxPipelineStages)
-		return
+		return nil, execute.RunOptions{}, errStatus(http.StatusRequestEntityTooLarge, "%d stages exceeds the pipeline limit of %d", len(req.Stages), maxPipelineStages)
 	}
 	ropts, err := s.runOptions(req.Workers, req.Scheduler)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, ropts, err
 	}
-
-	// Validate the whole DAG before anything runs. Chaining incompatibilities
-	// are collected across every edge (not first-failure), so the 422 body
-	// names every bad edge at once; structural errors fail immediately.
 	cache := newHandleCache()
-	plans := make([]*pipelineStagePlan, len(req.Stages))
+	stages := make([]*stage, len(req.Stages))
 	var incompats []Incompat
 	for i := range req.Stages {
-		st := &req.Stages[i]
-		ce, entry, status, err := s.resolveExecution(st.ProgramID, st.ContextID)
+		ps := &req.Stages[i]
+		ce, entry, err := s.resolveExecution(ps.ProgramID, ps.ContextID)
 		if err != nil {
-			writeError(w, status, "stage %d: %v", i, err)
-			return
+			return nil, ropts, fmt.Errorf("stage %d: %w", i, err)
 		}
-		plan := &pipelineStagePlan{
-			entry: entry,
-			ce:    ce,
-			pre: &execute.EncryptedInputs{
-				Cipher: map[string]*ckks.Ciphertext{},
-				Plain:  map[string][]float64{},
-			},
-			refs:       map[string]stageRef{},
-			values:     map[string][]float64{},
-			outMode:    st.Output,
-			entryLevel: ce.Ctx.Params.MaxLevel(),
+		output := cmp.Or(ps.Output, outputHandle)
+		switch {
+		case output != outputHandle && output != outputValues:
+			return nil, ropts, fmt.Errorf("stage %d: unknown output mode %q", i, ps.Output)
+		case output == outputValues && i != len(req.Stages)-1:
+			return nil, ropts, fmt.Errorf("stage %d: only the final stage may decrypt with \"output\": \"values\"", i)
+		case output == outputValues && ce.Keys == nil:
+			return nil, ropts, fmt.Errorf("stage %d: \"output\": \"values\" needs a server-keygen (demo) context", i)
 		}
-		switch plan.outMode {
-		case "":
-			plan.outMode = outputHandle
-		case outputHandle:
-		case outputValues:
-			if i != len(req.Stages)-1 {
-				writeError(w, http.StatusBadRequest, "stage %d: only the final stage may decrypt with \"output\": \"values\"", i)
-				return
+		st, err := s.resolveStage(stdctx, ce, entry, ps.Inputs, output, stages[:i], cache)
+		var cerr *compatError
+		if errors.As(err, &cerr) {
+			for _, inc := range cerr.incompats {
+				inc.Stage = i
+				incompats = append(incompats, inc)
 			}
-			if ce.Keys == nil {
-				writeError(w, http.StatusBadRequest, "stage %d: \"output\": \"values\" needs a server-keygen (demo) context", i)
-				return
-			}
-		default:
-			writeError(w, http.StatusBadRequest, "stage %d: unknown output mode %q", i, st.Output)
-			return
+		} else if err != nil {
+			return nil, ropts, fmt.Errorf("stage %d: %w", i, err)
 		}
-
-		res := entry.Result
-		br := s.newBindingResolver(ce, res, cache)
-		for _, in := range res.Program.Inputs() {
-			binding, ok := st.Inputs[in.Name]
-			if !ok {
-				writeError(w, http.StatusBadRequest, "stage %d: missing binding for input %q", i, in.Name)
-				return
-			}
-			if in.InType != core.TypeCipher {
-				full, ok, err := br.plain(in.Name, binding)
-				if !ok {
-					writeError(w, http.StatusBadRequest, "stage %d: plain input %q needs \"plain\" values", i, in.Name)
-					return
-				}
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "stage %d: %v", i, err)
-					return
-				}
-				plan.pre.Plain[in.Name] = full
-				continue
-			}
-			sources := 0
-			for _, set := range []bool{binding.Handle != "", binding.Stage != nil, binding.Cipher != "", binding.Values != nil} {
-				if set {
-					sources++
-				}
-			}
-			if sources != 1 {
-				writeError(w, http.StatusBadRequest, "stage %d: input %q needs exactly one of \"handle\", \"stage\", \"cipher\", or \"values\"", i, in.Name)
-				return
-			}
-			switch {
-			case binding.Stage != nil:
-				j := *binding.Stage
-				if j < 0 || j >= i {
-					writeError(w, http.StatusBadRequest, "stage %d: input %q references stage %d; stages may only consume earlier stages", i, in.Name, j)
-					return
-				}
-				outName := binding.Output
-				if outName == "" {
-					if outName, err = defaultCipherOutput(plans[j].entry); err != nil {
-						writeError(w, http.StatusBadRequest, "stage %d: input %q: %v", i, in.Name, err)
-						return
-					}
-				}
-				meta, err := producerMeta(plans[j], outName)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "stage %d: input %q: %v", i, in.Name, err)
-					return
-				}
-				if err := meta.Check(br.want(in.Name, in.LogScale)); err != nil {
-					var m *handle.Mismatch
-					if errors.As(err, &m) {
-						incompats = append(incompats, Incompat{
-							Stage: i, Input: in.Name,
-							HandleID: fmt.Sprintf("stage[%d].%s", j, outName),
-							Field:    m.Field, Want: m.Want, Got: m.Got,
-						})
-						continue
-					}
-					writeError(w, http.StatusBadRequest, "stage %d: input %q: %v", i, in.Name, err)
-					return
-				}
-				if meta.Level < plan.entryLevel {
-					plan.entryLevel = meta.Level
-				}
-				plan.refs[in.Name] = stageRef{stage: j, output: outName}
-			case binding.Handle != "":
-				rh, err := br.cipherFromHandle(r.Context(), in.Name, binding.Handle, in.LogScale)
-				if err != nil {
-					var cerr *compatError
-					if errors.As(err, &cerr) {
-						inc := cerr.incompat()
-						inc.Stage = i
-						incompats = append(incompats, inc)
-						continue
-					}
-					if errors.Is(err, handle.ErrNotFound) {
-						writeError(w, http.StatusNotFound, "stage %d: input %q: %v", i, in.Name, err)
-						return
-					}
-					writeError(w, http.StatusBadRequest, "stage %d: input %q: %v", i, in.Name, err)
-					return
-				}
-				if rh.meta.Level < plan.entryLevel {
-					plan.entryLevel = rh.meta.Level
-				}
-				plan.pre.Cipher[in.Name] = rh.ct
-			case binding.Cipher != "":
-				ct, err := br.cipherFromWire(binding.Cipher)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "stage %d: input %q: %v", i, in.Name, err)
-					return
-				}
-				if ct.Level < plan.entryLevel {
-					plan.entryLevel = ct.Level
-				}
-				plan.pre.Cipher[in.Name] = ct
-			default: // values
-				if ce.Keys == nil {
-					writeError(w, http.StatusBadRequest, "stage %d: input %q: plaintext \"values\" need a server-keygen (demo) context", i, in.Name)
-					return
-				}
-				if len(binding.Values) == 0 || len(binding.Values) > res.Program.VecSize {
-					writeError(w, http.StatusBadRequest, "stage %d: input %q has %d values; want 1..%d", i, in.Name, len(binding.Values), res.Program.VecSize)
-					return
-				}
-				plan.values[in.Name] = binding.Values
-			}
-		}
-		plans[i] = plan
+		stages[i] = st
 	}
 	if len(incompats) > 0 {
-		writeJSON(w, http.StatusUnprocessableEntity, apiError{
-			Error:             fmt.Sprintf("incompatible pipeline chaining: %d edge(s) rejected", len(incompats)),
-			Incompatibilities: incompats,
-		})
-		return
+		return nil, ropts, fmt.Errorf("incompatible pipeline chaining: %d edge(s) rejected: %w", len(incompats), &compatError{incompats: incompats})
 	}
-
-	// One admission charge for the whole pipeline: every distinct resolved
-	// ciphertext once, plain vectors, fresh-ciphertext placeholders for demo
-	// values, and the heaviest stage's modeled peak.
-	units := make([]admissionUnit, len(plans))
-	for i, plan := range plans {
-		units[i] = admissionUnit{res: plan.entry.Result, in: plan.pre, pending: len(plan.values)}
-	}
-	snap, err := s.enqueue(r.Context(), len(plans), estimateAdmissionBytes(units), func(jctx context.Context, batchDone func(int)) (any, error) {
-		return s.runPipeline(jctx, plans, ropts, batchDone)
-	})
-	if err != nil {
-		s.writeAdmissionError(w, err)
-		return
-	}
-	w.Header().Set("Location", "/jobs/"+snap.ID)
-	st := jobStatusJSON(snap)
-	st.TraceID = obs.TraceFromContext(r.Context()).ID()
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// runPipeline executes the validated stages in order inside one job: each
-// stage gets a pipeline_stage span under jctx's span, its upstream edges are
-// wired from the raw in-memory outputs of earlier stages (no
-// serialize/store round-trip), and its results — output handle ids, or
-// decrypted values on the final demo stage — become the job's per-stage
-// BatchResults. A failing stage fails the whole pipeline.
-func (s *Server) runPipeline(jctx context.Context, plans []*pipelineStagePlan, ropts execute.RunOptions, batchDone func(int)) (any, error) {
-	t, parent := obs.TraceFromContext(jctx), obs.SpanFromContext(jctx)
-	results := make([]BatchResult, len(plans))
-	rawOuts := make([]*execute.Outputs, len(plans))
-	for i, plan := range plans {
-		if err := jctx.Err(); err != nil {
-			return nil, err
-		}
-		sp := t.StartSpan("pipeline_stage", parent)
-		sp.SetAttr("stage", strconv.Itoa(i))
-		sp.SetAttr("program", plan.entry.ID)
-		pre := &execute.EncryptedInputs{
-			Cipher: map[string]*ckks.Ciphertext{},
-			Plain:  plan.pre.Plain,
-		}
-		for name, ct := range plan.pre.Cipher {
-			pre.Cipher[name] = ct
-		}
-		missing := ""
-		for name, ref := range plan.refs {
-			ct := rawOuts[ref.stage].Cipher[ref.output]
-			if ct == nil {
-				missing = fmt.Sprintf("stage %d produced no output %q for input %q", ref.stage, ref.output, name)
-				break
-			}
-			pre.Cipher[name] = ct
-		}
-		if missing != "" {
-			sp.SetAttr("error", missing)
-			sp.End()
-			return nil, fmt.Errorf("stage %d: %s", i, missing)
-		}
-		batch := &ExecuteBatch{Values: plan.values}
-		stageCtx := obs.ContextWithSpan(jctx, sp)
-		result, out := s.runBatch(stageCtx, plan.entry, plan.ce, batch, pre, ropts, plan.outMode)
-		sp.End()
-		results[i] = result
-		if result.Error != "" {
-			return nil, fmt.Errorf("stage %d: %s", i, result.Error)
-		}
-		rawOuts[i] = out
-		batchDone(i)
-	}
-	return results, nil
+	return stages, ropts, nil
 }

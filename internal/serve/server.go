@@ -1126,48 +1126,45 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve the program through the context, not the registry: a context
 	// pins its compiled program, so LRU eviction never breaks a live context.
-	p, status, err := s.planExecution(r.Context(), &JobRequest{
+	_, results, ok := s.executeAndWait(w, r, &JobRequest{
 		ProgramID: programID,
 		ContextID: req.ContextID,
 		Workers:   req.Workers,
 		Scheduler: req.Scheduler,
 		Output:    req.Output,
 		Batches:   req.Batches,
-	})
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
+	}, false)
+	if ok {
+		writeJSON(w, http.StatusOK, ExecuteResponse{ProgramID: programID, Results: results})
 	}
-	results := make([]BatchResult, len(p.batches))
-	if !s.runAndWait(w, r, len(p.batches), p.estimate(), func(jctx context.Context, batchDone func(int)) error {
-		return s.runPlan(jctx, p, results, batchDone)
-	}) {
-		return
-	}
-	writeJSON(w, http.StatusOK, ExecuteResponse{ProgramID: programID, Results: results})
 }
 
 func batchError(format string, args ...any) BatchResult {
 	return BatchResult{Error: fmt.Sprintf(format, args...)}
 }
 
-// runBatch executes one input set against a compiled program inside a job's
-// RunFunc. decoded carries the inputs resolved at admission; the batch's
-// demo values still pending are encrypted first. outMode selects the result
-// form ("", "handle", or "values"). stdctx cancellation aborts the
-// execution. The raw executor outputs are returned too, so the pipeline
-// runner can feed one stage's output ciphertexts straight into the next
-// stage without a serialize/store/fetch round-trip.
-func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry, batch *ExecuteBatch, decoded *execute.EncryptedInputs, ropts execute.RunOptions, outMode string) (BatchResult, *execute.Outputs) {
-	res := entry.Result
-	enc, err := completeInputs(ce, res, batch, decoded)
+// runBatch executes one resolved stage inside a job's RunFunc, under one
+// execute span carrying the stage index and program. The stage's demo values
+// are encrypted and its stage references wired from upstream first. The
+// stage's output mode selects the result form ("", "handle", or "values").
+// stdctx cancellation aborts the execution. The raw executor outputs are
+// returned too, so runStages can feed one stage's output ciphertexts
+// straight into later stages without a serialize/store/fetch round-trip.
+func (s *Server) runBatch(stdctx context.Context, i int, st *stage, upstream []*execute.Outputs, ropts execute.RunOptions) (BatchResult, *execute.Outputs) {
+	entry, ce, res := st.entry, st.ce, st.entry.Result
+	t := obs.TraceFromContext(stdctx)
+	sp := t.StartSpan("execute", obs.SpanFromContext(stdctx))
+	sp.SetAttr("stage", strconv.Itoa(i))
+	sp.SetAttr("program", entry.ID)
+	enc, err := completeInputs(st, upstream)
+	if err == nil && st.output == outputValues && ce.Keys == nil {
+		err = fmt.Errorf("\"output\": \"values\" needs a server-keygen (demo) context; this context has no keys")
+	}
 	if err != nil {
+		sp.SetAttr("error", err.Error())
+		sp.End()
 		s.metrics.RecordExecutionError()
 		return batchError("%v", err), nil
-	}
-	if outMode == outputValues && ce.Keys == nil {
-		s.metrics.RecordExecutionError()
-		return batchError("\"output\": \"values\" needs a server-keygen (demo) context; this context has no keys"), nil
 	}
 
 	// The executor's instruction stream fans out to the run's per-opcode
@@ -1175,8 +1172,6 @@ func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry
 	// attributes and /metrics), the execute span's progress (readable on
 	// live traces), and the instruction profiler. The profiler gets the trace
 	// id so drift events in /profile link back to their /traces entry.
-	t := obs.TraceFromContext(stdctx)
-	sp := t.StartSpan("execute", obs.SpanFromContext(stdctx))
 	rec := s.profiles.Recorder(entry.ID, res, t.ID())
 	defer rec.Finish()
 	perOp := map[string]*obs.Histogram{}
@@ -1229,7 +1224,7 @@ func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry
 			WallMillis:   float64(out.Stats.WallTime) / float64(time.Millisecond),
 		},
 	}
-	if outMode == outputHandle {
+	if st.output == outputHandle {
 		result.Handles = map[string]string{}
 		for name, ct := range out.Cipher {
 			id, err := s.storeOutputHandle(ce, res, ct)
@@ -1247,7 +1242,7 @@ func (s *Server) runBatch(stdctx context.Context, entry *Entry, ce *contextEntry
 		}
 		return result, out
 	}
-	if ce.Keys != nil && (outMode == outputValues || len(batch.Values) > 0) {
+	if ce.Keys != nil && (st.output == outputValues || len(st.values) > 0) {
 		values, _ := execute.DecryptOutputs(ce.Ctx, res, ce.Keys, out)
 		result.Values = values
 		return result, out
